@@ -429,7 +429,6 @@ def _build_parser():
     p.add_argument("suite", choices=sorted(set(SUITE_NAMES) | set(SUITE_ALIASES)))
     p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     p.add_argument("--count", type=int, default=20)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="write the JSON report to this path")
     return parser
 
@@ -454,7 +453,7 @@ def main(argv=None):
 
     if ns.command == "verify":
         report = run_suite(ns.suite, seed=ns.seed, count=ns.count,
-                           jobs=ns.jobs, budget_limit=ns.budget)
+                           budget_limit=ns.budget)
         payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
         if ns.out:
             with open(ns.out, "w") as fh:

@@ -25,10 +25,10 @@ from math import comb
 
 from .budget import Budget, InternalInvariantError
 from .frobenius import fedder_f_pure
-from .modules import (FreeComplex, ModulePresentation, free_resolution,
-                      in_module, is_graded, module_colon_by_element,
-                      module_groebner, syzygy_module, unit_vector,
-                      vec_is_zero)
+from .modules import (FreeComplex, ModulePresentation, diagonal_columns,
+                      free_resolution, in_module, is_graded,
+                      module_colon_by_element, module_groebner,
+                      syzygy_module, unit_vector, vec_is_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -199,37 +199,22 @@ def depth_at_origin(M, cross_check=True, budget=None):
 # ---------------------------------------------------------------------------
 # regular elements and sequences
 
-def _module_span(cols, rank, ring, budget):
-    return module_groebner(cols, rank, ring, budget)
-
-
 def is_regular_element(f, cols, rank, ring, budget=None):
     """f is a nonzerodivisor on coker(cols) and does not act as the whole
     module (coker != f*coker)."""
     budget = Budget.ensure(budget)
     if f.is_zero:
         return False
-    gb = _module_span(cols, rank, ring, budget)
+    gb = module_groebner(cols, rank, ring, budget)
     for w in module_colon_by_element(cols, rank, f, ring, budget):
         if not in_module(w, gb, rank, ring, budget):
             return False
-    zero = ring.zero()
-    aug = list(cols)
-    for i in range(rank):
-        aug.append(tuple(f if j == i else zero for j in range(rank)))
-    gb_aug = _module_span(aug, rank, ring, budget)
+    gb_aug = module_groebner(list(cols) + diagonal_columns(f, rank, ring),
+                             rank, ring, budget)
     if all(in_module(unit_vector(ring, rank, i), gb_aug, rank, ring, budget)
            for i in range(rank)):
         return False
     return True
-
-
-def _quotient_cols(cols, rank, f, ring):
-    zero = ring.zero()
-    out = list(cols)
-    for i in range(rank):
-        out.append(tuple(f if j == i else zero for j in range(rank)))
-    return out
 
 
 def regular_sequence_check(xs, M, e_range, budget=None):
@@ -249,7 +234,7 @@ def regular_sequence_check(xs, M, e_range, budget=None):
             if not is_regular_element(f, cols, rank, free, budget):
                 ok = False
                 break
-            cols = _quotient_cols(cols, rank, f, free)
+            cols = cols + diagonal_columns(f, rank, free)
         results.append(ok)
     return results
 
@@ -273,40 +258,45 @@ def _normalized_vectors(p, length):
         yield vec
 
 
+def _forms(ring, monos, limit, seed, trials):
+    """Forms sum c_i * monos[i]: every one up to scalar when p^len(monos) <=
+    limit, else up to `trials` distinct seeded random coefficient vectors.
+    Returns (forms, exhaustive)."""
+    p, m = ring.p, len(monos)
+    if p ** m <= limit:
+        vecs, exhaustive = _normalized_vectors(p, m), True
+    else:
+        rng = random.Random(seed)
+        vecs, seen = [], set()
+        for _ in range(50 * trials):
+            if len(vecs) == trials:
+                break
+            vec = tuple(rng.randrange(p) for _ in range(m))
+            if any(vec) and vec not in seen:
+                seen.add(vec)
+                vecs.append(vec)
+        exhaustive = False
+    forms = []
+    for vec in vecs:
+        f = ring.zero()
+        for c, mono in zip(vec, monos):
+            if c:
+                f = f + c * mono
+        forms.append(f)
+    return forms, exhaustive
+
+
 def linear_candidates(ring, seed=0, trials=512):
     """All linear forms up to scalar when p^n is small, else a seeded random
     sample.  Returns (forms, exhaustive)."""
-    n, p = ring.nvars, ring.p
-    gens = ring.gens()
-    if p ** n <= MAX_EXHAUSTIVE_LINEAR:
-        forms = []
-        for vec in _normalized_vectors(p, n):
-            f = ring.zero()
-            for c, x in zip(vec, gens):
-                if c:
-                    f = f + c * x
-            forms.append(f)
-        return forms, True
-    rng = random.Random(seed)
-    forms, seen = [], set()
-    while len(forms) < trials:
-        vec = tuple(rng.randrange(p) for _ in range(n))
-        if not any(vec) or vec in seen:
-            continue
-        seen.add(vec)
-        f = ring.zero()
-        for c, x in zip(vec, gens):
-            if c:
-                f = f + c * x
-        forms.append(f)
-    return forms, False
+    return _forms(ring, ring.gens(), MAX_EXHAUSTIVE_LINEAR, seed, trials)
 
 
 def quadratic_candidates(ring, seed=0, trials=256):
     """Homogeneous degree-2 forms, exhaustive for small coefficient spaces.
     Finite fields can lack linear regular elements, so depth searches fall
     back to these."""
-    n, p = ring.nvars, ring.p
+    n = ring.nvars
     monos = []
     for i in range(n):
         for j in range(i, n):
@@ -314,31 +304,7 @@ def quadratic_candidates(ring, seed=0, trials=256):
             exps[i] += 1
             exps[j] += 1
             monos.append(ring.monomial(exps))
-    m = len(monos)
-    if p ** m <= MAX_EXHAUSTIVE_QUADRATIC:
-        forms = []
-        for vec in _normalized_vectors(p, m):
-            f = ring.zero()
-            for c, mono in zip(vec, monos):
-                if c:
-                    f = f + c * mono
-            forms.append(f)
-        return forms, True
-    rng = random.Random(seed)
-    forms, seen = [], set()
-    attempts = 0
-    while len(forms) < trials and attempts < 50 * trials:
-        attempts += 1
-        vec = tuple(rng.randrange(p) for _ in range(m))
-        if not any(vec) or vec in seen:
-            continue
-        seen.add(vec)
-        f = ring.zero()
-        for c, mono in zip(vec, monos):
-            if c:
-                f = f + c * mono
-        forms.append(f)
-    return forms, False
+    return _forms(ring, monos, MAX_EXHAUSTIVE_QUADRATIC, seed, trials)
 
 
 @dataclass
@@ -353,14 +319,15 @@ class DepthSearchReport:
     seed: int = 0
 
 
-def classical_depth_search(M, seed=0, trials=512, max_degree=2, budget=None):
-    """Greedy search for a regular sequence on M among linear forms, then
-    homogeneous quadratics.  Returns a lower bound for depth with a
-    witness."""
+def _greedy_search(M, e_max, seed, trials, max_degree, budget):
+    """Grow a sequence greedily: the next element is the first pool form
+    (linear forms, then homogeneous quadratics) regular on F^e(M) for every
+    e <= e_max, modulo the elements already chosen."""
     budget = Budget.ensure(budget)
     free = M.ring.free()
-    cols = M.lifted_columns()
     rank = M.rank
+    levels = [frobenius_functor(M, e).lifted_columns()
+              for e in range(e_max + 1)]
     witness = []
     exhaustive = True
     while True:
@@ -372,7 +339,8 @@ def classical_depth_search(M, seed=0, trials=512, max_degree=2, budget=None):
             if not full:
                 exhaustive = False
             for f in forms:
-                if is_regular_element(f, cols, rank, free, budget):
+                if all(is_regular_element(f, cols, rank, free, budget)
+                       for cols in levels):
                     found = f
                     break
             if found is not None:
@@ -380,7 +348,15 @@ def classical_depth_search(M, seed=0, trials=512, max_degree=2, budget=None):
         if found is None:
             return DepthSearchReport(len(witness), tuple(witness), exhaustive, seed)
         witness.append(found)
-        cols = _quotient_cols(cols, rank, found, free)
+        levels = [cols + diagonal_columns(found, rank, free)
+                  for cols in levels]
+
+
+def classical_depth_search(M, seed=0, trials=512, max_degree=2, budget=None):
+    """Greedy search for a regular sequence on M among linear forms, then
+    homogeneous quadratics.  Returns a lower bound for depth with a
+    witness."""
+    return _greedy_search(M, 0, seed, trials, max_degree, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -432,39 +408,7 @@ def cdepth_lower_bound(M, e_max=4, seed=0, trials=512, max_degree=2,
     """Longest sequence found that is regular on F^e(M) for every e <= e_max
     simultaneously; bounds the classical depth of the perfect-closure base
     change from below."""
-    budget = Budget.ensure(budget)
-    free = M.ring.free()
-    levels = {}
-    for e in range(e_max + 1):
-        Fe = frobenius_functor(M, e)
-        levels[e] = Fe.lifted_columns()
-    rank = M.rank
-    witness = []
-    exhaustive = True
-
-    def regular_everywhere(f):
-        return all(is_regular_element(f, levels[e], rank, free, budget)
-                   for e in range(e_max + 1))
-
-    while True:
-        pools = [linear_candidates(free, seed, trials)]
-        if max_degree >= 2:
-            pools.append(quadratic_candidates(free, seed, trials))
-        found = None
-        for forms, full in pools:
-            if not full:
-                exhaustive = False
-            for f in forms:
-                if regular_everywhere(f):
-                    found = f
-                    break
-            if found is not None:
-                break
-        if found is None:
-            return DepthSearchReport(len(witness), tuple(witness), exhaustive, seed)
-        witness.append(found)
-        for e in range(e_max + 1):
-            levels[e] = _quotient_cols(levels[e], rank, found, free)
+    return _greedy_search(M, e_max, seed, trials, max_degree, budget)
 
 
 @dataclass

@@ -2,10 +2,11 @@
 
 Everything here runs in the free polynomial ring; ideals of a quotient ring
 R = S/I0 are represented by their lifts to S (generators plus the quotient
-generators), so a single engine answers every query.  Pair selection uses
-the sugar strategy with both classical pair-skipping criteria, and ties are
-broken by (sugar, lcm key, indices), so repeated runs produce bit-identical
-reduced bases.
+generators), so a single engine answers every query; module bases run
+through it too, with module terms encoded under the POT order (see
+modules.py).  Pair selection uses the sugar strategy with both classical
+pair-skipping criteria, and ties are broken by (sugar, lcm key, indices),
+so repeated runs produce bit-identical reduced bases.
 """
 
 from __future__ import annotations
@@ -20,25 +21,32 @@ from .ring import (Block, Polynomial, Ring, mono_deg, mono_div, mono_divides,
 # ---------------------------------------------------------------------------
 # division
 
-def _nf_dict(work, basis, ring, budget):
-    """Full normal form of the term dict `work` against `basis`, a sequence
-    of (lm, terms) pairs for monic reducers.  Returns the remainder dict."""
+def _reducer_table(basis, slots):
+    """Group (lm, terms) reducers by the position slots of their leading
+    monomials (a single group, keyed (), for ideals)."""
+    table = {}
+    for lm, terms in basis:
+        table.setdefault(lm[:slots], []).append((lm, terms))
+    return table
+
+
+def _nf_dict(work, reducers, ring, budget):
+    """Full normal form of the term dict `work` against a _reducer_table of
+    monic reducers.  Returns the remainder dict."""
     p = ring.p
     key = ring.order.key
+    slots = ring.order.slots
     rem = {}
     while work:
         m = max(work, key=key)
         c = work.pop(m)
-        reducer = None
-        for blm, bterms in basis:
+        for blm, bterms in reducers.get(m[:slots], ()):
             if mono_divides(blm, m):
-                reducer = (blm, bterms)
                 break
-        if reducer is None:
+        else:
             rem[m] = c
             continue
         budget.charge()
-        blm, bterms = reducer
         shift = mono_div(m, blm)
         for bm, bc in bterms:
             if bm == blm:
@@ -57,8 +65,9 @@ def normal_form_poly(f, basis_polys, budget=None):
     Groebner basis)."""
     budget = Budget.ensure(budget)
     ring = f.ring
-    basis = [(g.lm(), g.terms) for g in basis_polys if g]
-    rem = _nf_dict(dict(f.terms), basis, ring, budget)
+    reducers = _reducer_table([(g.lm(), g.terms) for g in basis_polys if g],
+                              ring.order.slots)
+    rem = _nf_dict(dict(f.terms), reducers, ring, budget)
     return ring.from_dict(rem)
 
 
@@ -86,12 +95,14 @@ def _spoly_dict(gi, gj, ring):
 def buchberger(gens, ring, budget=None):
     """Reduced Groebner basis of the ideal generated by `gens` under the
     ring's order.  Deterministic; raises BudgetExceeded when the pair queue
-    outruns the step budget."""
+    outruns the step budget.  Under a module order (POT) only pairs with
+    leading terms in the same position are formed."""
     budget = Budget.ensure(budget)
     key = ring.order.key
+    slots = ring.order.slots
 
     G = []           # (lm, terms, sugar)
-    lmkey = []       # cached order keys of leading monomials
+    reducers = {}    # _reducer_table of G, grown as G grows
     pairs = []       # heap of (sugar, lcm_key, i, j)
     done = set()     # treated index pairs, for the chain criterion
 
@@ -99,6 +110,8 @@ def buchberger(gens, ring, budget=None):
         lmj, _, sj = G[j]
         for i in range(j):
             lmi, _, si = G[i]
+            if lmi[:slots] != lmj[:slots]:
+                continue
             lcm = mono_lcm(lmi, lmj)
             sugar = max(si + mono_deg(lcm) - mono_deg(lmi),
                         sj + mono_deg(lcm) - mono_deg(lmj))
@@ -113,7 +126,7 @@ def buchberger(gens, ring, budget=None):
         terms = tuple(sorted(poly_terms.items(), key=lambda mc: key(mc[0]),
                              reverse=True))
         G.append((lm, terms, sugar))
-        lmkey.append(key(lm))
+        reducers.setdefault(lm[:slots], []).append((lm, terms))
         push_pairs(len(G) - 1)
 
     seed = sorted({g.monic() for g in gens if g},
@@ -125,15 +138,13 @@ def buchberger(gens, ring, budget=None):
 
     zero = (0,) * ring.nvars
     while pairs:
-        sugar, lcm_key, i, j = heapq.heappop(pairs)
+        sugar, _, i, j = heapq.heappop(pairs)
         if (i, j) in done:
             continue
         done.add((i, j))
         lmi, ti, _ = G[i]
         lmj, tj, _ = G[j]
         lcm = mono_lcm(lmi, lmj)
-        if key(lcm) != lcm_key:
-            continue  # stale entry: one side was replaced
         if mono_gcd(lmi, lmj) == zero:
             continue  # product criterion
         skip = False
@@ -150,7 +161,7 @@ def buchberger(gens, ring, budget=None):
             continue
         budget.charge()
         sp = _spoly_dict((lmi, ti), (lmj, tj), ring)
-        rem = _nf_dict(sp, [(lm, t) for lm, t, _ in G], ring, budget)
+        rem = _nf_dict(sp, reducers, ring, budget)
         if rem:
             add(rem, sugar)
 
@@ -168,12 +179,16 @@ def _reduce_basis(polys, ring, budget):
     for g in polys:
         if not any(mono_divides(h.lm(), g.lm()) for h in minimal):
             minimal.append(g)
+    # g cannot reduce its own tail (every tail term is below lm(g)), and no
+    # other leading monomial divides lm(g), so reducing the tail against
+    # the whole minimal basis is reducing g against the others.
+    reducers = _reducer_table([(g.lm(), g.terms) for g in minimal],
+                              ring.order.slots)
     reduced = []
-    for i, g in enumerate(minimal):
-        others = [(h.lm(), h.terms) for j, h in enumerate(minimal) if j != i]
-        rem = _nf_dict(dict(g.terms), others, ring, budget)
-        reduced.append(ring.from_dict(rem).monic())
-    reduced = [g for g in reduced if g]
+    for g in minimal:
+        rem = _nf_dict(dict(g.terms[1:]), reducers, ring, budget)
+        rem[g.lm()] = 1
+        reduced.append(ring.from_dict(rem))
     reduced.sort(key=lambda g: key(g.lm()))
     return tuple(reduced)
 

@@ -1,11 +1,16 @@
 """Groebner bases for submodules of free modules.
 
-Vectors over S^r are tuples of polynomials; internally the engine flattens
-them to dicts keyed by module monomials (position, exponent tuple) under a
-position-over-term order extending the ring's order (lower position wins).
-Syzygies come from the standard elimination embedding: stack an identity
-block under the matrix, compute a module basis where the original positions
-dominate, and keep the elements supported entirely on the tag block.
+Vectors over S^r are tuples of polynomials.  A module term e_i*x^a is
+encoded as the exponent tuple (i, r - i) + a of a private ring whose order
+is the position-over-term order POT (lower position wins, then the ring's
+order), and module bases and normal forms are computed by the ideal engine
+in groebner.py.  The two position slots make plain componentwise
+divisibility, lcm and shifts correct for module terms: a term divides
+another only in the same position, and since r - i >= 1 the product
+criterion, which applies only to ideals, never fires.  Syzygies come from
+the standard elimination embedding: stack an identity block under the
+matrix, compute a module basis where the original positions dominate, and
+keep the elements supported entirely on the tag block.
 
 A ModulePresentation is a cokernel: M = S^rank / (column span of relations).
 Quotient rings are handled by appending one relation column per quotient
@@ -14,11 +19,9 @@ generator and basis row, so homology answers are answers over R = S/I0.
 
 from __future__ import annotations
 
-import heapq
-
 from .budget import Budget
-from .groebner import Ideal, intersect
-from .ring import mono_deg, mono_div, mono_divides, mono_lcm, mono_mul
+from .groebner import Ideal, buchberger, intersect, normal_form_poly
+from .ring import POT, Polynomial, Ring
 
 
 # ---------------------------------------------------------------------------
@@ -58,201 +61,52 @@ def apply_columns(columns, coeffs, ring, rank):
     return tuple(out)
 
 
-def _vec_to_dict(vec):
-    d = {}
-    for pos, poly in enumerate(vec):
-        for m, c in poly.terms:
-            d[(pos, m)] = c
-    return d
-
-
-def _dict_to_vec(d, rank, ring):
-    rows = [{} for _ in range(rank)]
-    for (pos, m), c in d.items():
-        rows[pos][m] = c
-    return tuple(ring.from_dict(row) for row in rows)
-
-
-def _mkey(ring):
-    okey = ring.order.key
-
-    def key(term):
-        pos, m = term
-        return (-pos, okey(m))
-
-    return key
+def diagonal_columns(f, rank, ring):
+    """The columns of f times the identity of S^rank."""
+    zero = ring.zero()
+    return [tuple(f if j == i else zero for j in range(rank))
+            for i in range(rank)]
 
 
 # ---------------------------------------------------------------------------
-# module division and Buchberger
+# module Groebner bases through the ideal engine
 
-def _nf_vecdict(work, basis, ring, budget):
-    """Full normal form of a module term dict against monic basis entries
-    (lm=(pos, mono), terms)."""
-    p = ring.p
-    key = _mkey(ring)
-    rem = {}
-    while work:
-        t = max(work, key=key)
-        c = work.pop(t)
-        pos, m = t
-        reducer = None
-        for blm, bterms in basis:
-            if blm[0] == pos and mono_divides(blm[1], m):
-                reducer = (blm, bterms)
-                break
-        if reducer is None:
-            rem[t] = c
-            continue
-        budget.charge()
-        (bpos, bm), bterms = reducer
-        shift = mono_div(m, bm)
-        for (tpos, tm), tc in bterms:
-            if tpos == bpos and tm == bm:
-                continue
-            tt = (tpos, mono_mul(tm, shift))
-            nc = (work.get(tt, 0) - c * tc) % p
-            if nc:
-                work[tt] = nc
-            else:
-                work.pop(tt, None)
-    return rem
+def _module_ring(ring, rank):
+    """The free ring whose monomials are the module terms of S^rank: two
+    position slots ahead of the variables, ordered by POT."""
+    return Ring(ring.p, ring.fresh_names(2, "e") + ring.variables,
+                POT(rank, ring.order))
 
 
-def _vdict_sugar(d):
-    return max((mono_deg(m) for (_, m) in d), default=0)
+def _encode(vec, mring):
+    """A vector over S as a polynomial of the module ring.  Rows in
+    position order keep the terms in decreasing POT order."""
+    rank = mring.order.rank
+    return Polynomial(mring, tuple(((i, rank - i) + m, c)
+                                   for i, entry in enumerate(vec)
+                                   for m, c in entry.terms))
+
+
+def _decode(poly, ring):
+    rows = [[] for _ in range(poly.ring.order.rank)]
+    for m, c in poly.terms:
+        rows[m[0]].append((m[2:], c))
+    return tuple(Polynomial(ring, tuple(row)) for row in rows)
 
 
 def module_groebner(vectors, rank, ring, budget=None):
     """Reduced module Groebner basis (position-over-term order) of the
     submodule of S^rank generated by `vectors`."""
-    budget = Budget.ensure(budget)
-    key = _mkey(ring)
-    p = ring.p
-
-    G = []       # (lm, terms, sugar)
-    pairs = []   # heap of (sugar, tiebreak, i, j)
-    done = set()
-
-    def push_pairs(j):
-        lmj, _, sj = G[j]
-        for i in range(j):
-            lmi, _, si = G[i]
-            if lmi[0] != lmj[0]:
-                continue
-            lcm = mono_lcm(lmi[1], lmj[1])
-            sugar = max(si + mono_deg(lcm) - mono_deg(lmi[1]),
-                        sj + mono_deg(lcm) - mono_deg(lmj[1]))
-            heapq.heappush(pairs, (sugar, (lmi[0], key((lmi[0], lcm))), i, j))
-
-    def add(d, sugar):
-        t = max(d, key=key)
-        c = d[t]
-        if c != 1:
-            inv = pow(c, -1, p)
-            d = {k: (v * inv) % p for k, v in d.items()}
-        terms = tuple(sorted(d.items(), key=lambda kv: key(kv[0]), reverse=True))
-        G.append((t, terms, sugar))
-        push_pairs(len(G) - 1)
-
-    seed = []
-    for v in vectors:
-        d = {k: c for k, c in _vec_to_dict(v).items() if c}
-        if d:
-            seed.append(d)
-    seed.sort(key=lambda d: sorted(((key(t), c) for t, c in d.items()), reverse=True))
-    for d in seed:
-        add(d, _vdict_sugar(d))
-    if not G:
-        return ()
-
-    while pairs:
-        sugar, _, i, j = heapq.heappop(pairs)
-        if (i, j) in done:
-            continue
-        done.add((i, j))
-        (posi, lmi), ti, _ = G[i]
-        (posj, lmj), tj, _ = G[j]
-        lcm = mono_lcm(lmi, lmj)
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            (posk, lmk), _, _ = G[k]
-            if posk == posi and mono_divides(lmk, lcm):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a in done and b in done:
-                    skip = True
-                    break
-        if skip:
-            continue
-        budget.charge()
-        si = mono_div(lcm, lmi)
-        sj = mono_div(lcm, lmj)
-        d = {}
-        for (tpos, tm), tc in ti:
-            tt = (tpos, mono_mul(tm, si))
-            d[tt] = (d.get(tt, 0) + tc) % p
-        for (tpos, tm), tc in tj:
-            tt = (tpos, mono_mul(tm, sj))
-            d[tt] = (d.get(tt, 0) - tc) % p
-        d = {k: c for k, c in d.items() if c}
-        rem = _nf_vecdict(d, [(lm, t) for lm, t, _ in G], ring, budget)
-        if rem:
-            add(rem, sugar)
-
-    return _reduce_module_basis([dict(t) for _, t, _ in G], rank, ring, budget)
-
-
-def _reduce_module_basis(dicts, rank, ring, budget):
-    key = _mkey(ring)
-    entries = []
-    for d in dicts:
-        if not d:
-            continue
-        t = max(d, key=key)
-        entries.append((t, d))
-    entries.sort(key=lambda e: (key(e[0]),
-                                sorted(((key(t), c) for t, c in e[1].items()),
-                                       reverse=True)))
-    minimal = []
-    for t, d in entries:
-        if not any(kt[0] == t[0] and mono_divides(kt[1], t[1]) for kt, _ in minimal):
-            minimal.append((t, d))
-    basis = []
-    for i, (t, d) in enumerate(minimal):
-        others = []
-        for j, (ot, od) in enumerate(minimal):
-            if j == i:
-                continue
-            terms = tuple(sorted(od.items(), key=lambda kv: key(kv[0]), reverse=True))
-            others.append((ot, terms))
-        rem = _nf_vecdict(dict(d), others, ring, budget)
-        if rem:
-            lt = max(rem, key=key)
-            c = rem[lt]
-            if c != 1:
-                inv = pow(c, -1, ring.p)
-                rem = {k: (v * inv) % ring.p for k, v in rem.items()}
-            basis.append(rem)
-    basis.sort(key=lambda d: key(max(d, key=key)))
-    return tuple(_dict_to_vec(d, rank, ring) for d in basis)
+    mring = _module_ring(ring, rank)
+    gb = buchberger([_encode(v, mring) for v in vectors], mring, budget)
+    return tuple(_decode(g, ring) for g in gb)
 
 
 def module_normal_form(vec, gb, rank, ring, budget=None):
-    budget = Budget.ensure(budget)
-    key = _mkey(ring)
-    basis = []
-    for v in gb:
-        d = _vec_to_dict(v)
-        if not d:
-            continue
-        t = max(d, key=key)
-        terms = tuple(sorted(d.items(), key=lambda kv: key(kv[0]), reverse=True))
-        basis.append((t, terms))
-    rem = _nf_vecdict(_vec_to_dict(vec), basis, ring, budget)
-    return _dict_to_vec(rem, rank, ring)
+    mring = _module_ring(ring, rank)
+    rem = normal_form_poly(_encode(vec, mring),
+                           [_encode(v, mring) for v in gb], budget)
+    return _decode(rem, ring)
 
 
 def in_module(vec, gb, rank, ring, budget=None):
@@ -327,10 +181,8 @@ class ModulePresentation:
         generator and basis position appended."""
         free = self.ring.free()
         cols = [tuple(e.transported(free) for e in col) for col in self.columns]
-        zero = free.zero()
         for q in self.ring.quotient:
-            for i in range(self.rank):
-                cols.append(tuple(q if j == i else zero for j in range(self.rank)))
+            cols += diagonal_columns(q, self.rank, free)
         return cols
 
     def relation_basis(self, budget=None):
@@ -360,26 +212,32 @@ def is_graded(pres):
         for e in col:
             if e and not e.is_homogeneous:
                 return False
-    row_deg = {0: 0}
-    changed = True
-    while changed:
-        changed = False
-        for col in cols:
-            known = [(i, e) for i, e in enumerate(col) if e and i in row_deg]
-            if not known:
-                continue
-            i0, e0 = known[0]
-            cdeg = row_deg[i0] + e0.degree()
-            for i, e in enumerate(col):
-                if not e:
+    row_deg = {}
+    for start in range(pres.rank):
+        if start in row_deg:
+            continue
+        # a row no earlier row reaches starts a new connected component
+        row_deg[start] = 0
+        changed = True
+        while changed:
+            changed = False
+            for col in cols:
+                known = [(i, e) for i, e in enumerate(col)
+                         if e and i in row_deg]
+                if not known:
                     continue
-                want = cdeg - e.degree()
-                if i in row_deg:
-                    if row_deg[i] != want:
-                        return False
-                else:
-                    row_deg[i] = want
-                    changed = True
+                i0, e0 = known[0]
+                cdeg = row_deg[i0] + e0.degree()
+                for i, e in enumerate(col):
+                    if not e:
+                        continue
+                    want = cdeg - e.degree()
+                    if i in row_deg:
+                        if row_deg[i] != want:
+                            return False
+                    else:
+                        row_deg[i] = want
+                        changed = True
     return True
 
 
@@ -419,11 +277,11 @@ class FreeComplex:
 
 def _irredundant_columns(cols, rank, ring, budget):
     """Drop columns lying in the span of the others; deterministic order."""
-    key = _mkey(ring)
+    mring = _module_ring(ring, rank)
+    key = mring.order.key
 
     def canon(col):
-        d = _vec_to_dict(col)
-        return sorted(((key(t), c) for t, c in d.items()), reverse=True)
+        return [(key(m), c) for m, c in _encode(col, mring).terms]
 
     cols = sorted((c for c in cols if not vec_is_zero(c)), key=canon)
     i = len(cols) - 1
@@ -443,40 +301,14 @@ def _unit_entry(col):
     return None
 
 
-def _unit_prune_pair(cols, syz, ring):
-    """Split trivial summands off the pair (D, Syz(D)): a unit entry in a
-    syzygy column says one column of D is redundant.  Returns the pruned
-    pair; spans and exactness are preserved."""
-    cols = list(cols)
-    syz = [list(s) for s in syz]
-    while True:
-        hit = None
-        for b, s in enumerate(syz):
-            a = _unit_entry(s)
-            if a is not None:
-                hit = (a, b)
-                break
-        if hit is None:
-            break
-        a, b = hit
-        u = syz[b][a]
-        uinv = pow(u.lc(), -1, ring.p)
-        for t, s in enumerate(syz):
-            if t == b or s[a].is_zero:
-                continue
-            factor = s[a] * uinv
-            syz[t] = [se - factor * be for se, be in zip(s, syz[b])]
-        syz.pop(b)
-        for s in syz:
-            s.pop(a)
-        cols.pop(a)
-    return [tuple(c) for c in cols], [tuple(s) for s in syz]
-
-
-def _prune_unit_generators(cols, rank, ring):
-    """Unit entries in a presentation matrix mean redundant module
-    generators; split them off (rank drops)."""
+def _prune_units(cols, ring):
+    """Split trivial summands off a matrix: while some column has a unit
+    entry in row a, clear row a from the other columns with it, then delete
+    that column and row a.  Spans and exactness are preserved.  Returns the
+    nonzero columns left and the deleted rows, each index counted after the
+    earlier deletions."""
     cols = [list(c) for c in cols]
+    rows = []
     while True:
         hit = None
         for b, col in enumerate(cols):
@@ -487,8 +319,7 @@ def _prune_unit_generators(cols, rank, ring):
         if hit is None:
             break
         a, b = hit
-        u = cols[b][a]
-        uinv = pow(u.lc(), -1, ring.p)
+        uinv = pow(cols[b][a].lc(), -1, ring.p)
         for t, col in enumerate(cols):
             if t == b or col[a].is_zero:
                 continue
@@ -497,8 +328,8 @@ def _prune_unit_generators(cols, rank, ring):
         cols.pop(b)
         for col in cols:
             col.pop(a)
-        rank -= 1
-    return [tuple(c) for c in cols if not vec_is_zero(tuple(c))], rank
+        rows.append(a)
+    return [tuple(c) for c in cols if not vec_is_zero(c)], rows
 
 
 def free_resolution(pres, cap=8, budget=None):
@@ -511,8 +342,8 @@ def free_resolution(pres, cap=8, budget=None):
     if ring.is_quotient:
         raise ValueError("free resolutions are computed over the free ring")
     rank = pres.rank
-    cols = [c for c in pres.columns if not vec_is_zero(c)]
-    cols, rank = _prune_unit_generators(cols, rank, ring)
+    cols, rows = _prune_units(pres.columns, ring)
+    rank -= len(rows)
     cols = _irredundant_columns(cols, rank, ring, budget)
     if not cols:
         return FreeComplex(ring, rank, []), 0
@@ -522,13 +353,15 @@ def free_resolution(pres, cap=8, budget=None):
         codrank, cur = diffs[-1]
         syz = [s for s in syzygy_module(cur, codrank, ring, budget)
                if not vec_is_zero(s)]
+        cur = list(cur)
         while True:
             syz = _irredundant_columns(syz, len(cur), ring, budget)
-            cur2, syz2 = _unit_prune_pair(cur, syz, ring)
-            if len(cur2) == len(cur) and len(syz2) == len(syz):
-                cur, syz = cur2, syz2
+            # a unit entry in a syzygy says that column of cur is redundant
+            syz, rows = _prune_units(syz, ring)
+            if not rows:
                 break
-            cur, syz = cur2, syz2
+            for a in rows:
+                cur.pop(a)
         diffs[-1] = (codrank, cur)
         if not syz:
             pd = step
@@ -568,11 +401,7 @@ def module_colon_by_element(cols, rank, f, ring, budget=None):
     """Generators of {w in S^rank : f*w in column span}, via syzygies of
     [f*I | columns]."""
     budget = Budget.ensure(budget)
-    zero = ring.zero()
-    aug = []
-    for i in range(rank):
-        aug.append(tuple(f if j == i else zero for j in range(rank)))
-    aug += list(cols)
+    aug = diagonal_columns(f, rank, ring) + list(cols)
     syz = syzygy_module(aug, rank, ring, budget)
     out = []
     for s in syz:

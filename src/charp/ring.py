@@ -70,12 +70,16 @@ def mono_deg(a):
 
 # ---------------------------------------------------------------------------
 # monomial orders
+#
+# An order's `slots` counts the leading exponent slots that hold a module
+# position rather than a variable (see POT); the ideal orders have none.
 
 @dataclass(frozen=True)
 class Lex:
     """Pure lexicographic order on exponent tuples."""
 
     name = "lex"
+    slots = 0
 
     def key(self, exps):
         return exps
@@ -86,6 +90,7 @@ class GRevLex:
     """Graded reverse lexicographic order (the default)."""
 
     name = "grevlex"
+    slots = 0
 
     def key(self, exps):
         return (sum(exps), tuple(-e for e in reversed(exps)))
@@ -98,6 +103,7 @@ class Block:
     which is exactly what elimination needs."""
 
     k: int
+    slots = 0
 
     @property
     def name(self):
@@ -109,6 +115,27 @@ class Block:
             (sum(head), tuple(-e for e in reversed(head))),
             (sum(tail), tuple(-e for e in reversed(tail))),
         )
+
+
+@dataclass(frozen=True)
+class POT:
+    """Position-over-term order on module terms.  The term e_i*x^a of a free
+    module of rank `rank` is the exponent tuple (i, rank - i) + a: lower
+    positions win, then `base` decides.  With the two position slots,
+    componentwise divisibility, products, quotients and lcms of terms are
+    the module ones (e_i*x^a divides e_j*x^b only when i == j), so the
+    ideal engine runs on module terms unchanged."""
+
+    rank: int
+    base: object
+    slots = 2
+
+    @property
+    def name(self):
+        return f"pot{self.rank}:{self.base.name}"
+
+    def key(self, exps):
+        return (-exps[0], self.base.key(exps[2:]))
 
 
 def order_from_name(name):

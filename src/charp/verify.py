@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .assoc import (SIDE_BASE, SIDE_EXTENSION, ass_monomial, maximal_in_ass,
                     minimal_primes_monomial, union_ass_fseq)
-from .budget import Budget, BudgetExceeded, Unresolved
+from .budget import Budget, BudgetExceeded, InternalInvariantError, Unresolved
 from .depth import (cdepth_lower_bound, classical_depth_search,
                     depth_at_origin, frobenius_functor,
                     kdepth_truncation_profile, kgrade,
@@ -1078,24 +1078,17 @@ def run_check(chk, ctx):
         status, detail = UNRESOLVED, f"budget exceeded ({exc.used} steps)"
     except Unresolved as exc:
         status, detail = UNRESOLVED, str(exc)
+    except InternalInvariantError as exc:
+        status, detail = FAIL, str(exc)
     return CheckResult(chk.check_id, chk.anchor, status, detail,
                        time.perf_counter() - start)
 
 
-def run_suite(name, seed=0, count=20, jobs=1, budget_limit=10 ** 6):
+def run_suite(name, seed=0, count=20, budget_limit=10 ** 6):
     name = SUITE_ALIASES.get(name, name)
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{', '.join(SUITE_NAMES)}")
     ctx = Context(seed=seed, count=count, budget_limit=budget_limit)
-    selected = [c for c in CHECKS if name in c.suites]
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda c: run_check(c, ctx), selected))
-    else:
-        results = [run_check(c, ctx) for c in selected]
-    # report order is registration order regardless of completion order
-    order = {c.check_id: i for i, c in enumerate(selected)}
-    results.sort(key=lambda r: order[r.check_id])
+    results = [run_check(c, ctx) for c in CHECKS if name in c.suites]
     return VerificationReport(name, seed, count, results)

@@ -2,6 +2,8 @@
 
 import json
 
+from charp import verify
+from charp.budget import InternalInvariantError
 from charp.cli import main
 
 
@@ -152,8 +154,15 @@ class TestVerifySuites:
         assert code == 0
         assert json.loads(out)["suite"] == "examples"
 
-    def test_report_deterministic_across_jobs(self, capsys):
-        _, solo, _ = run(capsys, "verify", "examples", "--count", "5", "--json")
-        _, multi, _ = run(capsys, "verify", "examples", "--count", "5",
-                          "--jobs", "4", "--json")
-        assert solo == multi
+    def test_invariant_violation_is_a_fail_line(self, capsys, monkeypatch):
+        def broken(ctx):
+            raise InternalInvariantError("engines disagree")
+
+        checks = [verify.Check("broken", "raises", ("examples",), broken)]
+        checks += verify.CHECKS
+        monkeypatch.setattr(verify, "CHECKS", checks)
+        total = sum(1 for c in checks if "examples" in c.suites)
+        code, out, _ = run(capsys, "verify", "examples", "--count", "5")
+        assert code == 1
+        assert "[FAIL] broken: raises (engines disagree)" in out
+        assert f"total={total} pass={total - 1} fail=1" in out

@@ -9,6 +9,7 @@ from charp import (Ideal, ModulePresentation, cdepth_lower_bound,
                    kdepth_truncation_profile, kgrade, koszul_complex,
                    koszul_homology_nonzero, parse_ring,
                    regular_sequence_check, sdepth)
+from charp.depth import linear_candidates
 
 
 @pytest.fixture
@@ -101,6 +102,12 @@ class TestClassicalSearch:
         rep = classical_depth_search(M)
         assert rep.bound == 1
         assert rep.witness[0].degree() == 2
+
+    def test_sampled_pool_larger_than_the_space_ends(self):
+        # 2^10 - 1 nonzero linear forms cannot fill 2000 trials
+        R = parse_ring("F_2[a,b,c,d,e,f,g,h,i,j]")
+        forms, exhaustive = linear_candidates(R, trials=2000)
+        assert len(forms) == 2 ** 10 - 1 and not exhaustive
 
 
 class TestFrobeniusFunctor:

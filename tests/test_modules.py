@@ -1,6 +1,8 @@
 """Module engine: syzygies, free resolutions, annihilators, exactness."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,11 @@ from charp import (Ideal, ModulePresentation, annihilator, free_resolution,
                    is_graded, parse_ring, syzygy_module)
 from charp.modules import (apply_columns, in_module, module_groebner,
                            vec_is_zero)
+from charp.ring import mono_divides
+
+# Reduced bases and syzygies of seeded random inputs, as computed by the
+# earlier module engine that kept its own Buchberger loop.
+FIXTURE = Path(__file__).parent / "data" / "module_bases.json"
 
 
 def _cols(ring, rows):
@@ -44,6 +51,60 @@ class TestSyzygies:
                 continue
             for s in syzygy_module(cols, 2, R2xyz):
                 assert vec_is_zero(apply_columns(cols, s, R2xyz, 2))
+
+
+def _random_poly(ring, rng):
+    f = ring.zero()
+    for _ in range(rng.randrange(4)):
+        exps = [0] * ring.nvars
+        for _ in range(rng.randrange(3)):
+            exps[rng.randrange(ring.nvars)] += 1
+        f = f + ring.monomial(exps, rng.randrange(1, ring.p))
+    return f
+
+
+def _leading_term(vec):
+    """(position, monomial) of the leading term under position over term."""
+    for i, entry in enumerate(vec):
+        if entry:
+            return i, entry.lm()
+    return None
+
+
+class TestModuleEngine:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_random_inputs(self, p):
+        ring = parse_ring(f"F_{p}[x,y,z]")
+        rng = random.Random(f"engine{p}")
+        for rank in (1, 2, 3):
+            for _ in range(4):
+                cols = [tuple(_random_poly(ring, rng) for _ in range(rank))
+                        for _ in range(rng.randrange(2, 5))]
+                for s in syzygy_module(cols, rank, ring):
+                    assert vec_is_zero(apply_columns(cols, s, ring, rank))
+                gb = module_groebner(cols, rank, ring)
+                for col in cols:
+                    assert in_module(col, gb, rank, ring)
+                leads = [_leading_term(g) for g in gb]
+                for k, g in enumerate(gb):
+                    pos, lm = leads[k]
+                    assert g[pos].lc() == 1
+                    for other, (opos, olm) in enumerate(leads):
+                        if other == k:
+                            continue
+                        assert not any(mono_divides(olm, m)
+                                       for m, _ in g[opos].terms)
+
+    def test_matches_captured_bases(self):
+        for case in json.loads(FIXTURE.read_text()):
+            ring = parse_ring(case["ring"])
+            cols = [tuple(ring.poly(e) for e in col)
+                    for col in case["columns"]]
+            rank = case["rank"]
+            gb = module_groebner(cols, rank, ring)
+            assert [[str(e) for e in v] for v in gb] == case["basis"]
+            syz = syzygy_module(cols, rank, ring)
+            assert [[str(e) for e in v] for v in syz] == case["syzygies"]
 
 
 class TestFreeResolution:
@@ -130,6 +191,14 @@ class TestGrading:
         # column (x, 1): consistent with row degrees differing by one
         M = ModulePresentation(R2xy, 2, [(R2xy.poly("x"), R2xy.one())])
         assert is_graded(M)
+
+    def test_rows_unreached_from_row_zero(self, R2xyz):
+        # row 0 is empty; rows 1 and 2 need degrees d and d - 1 in the
+        # first column but d and d - 2 in the second
+        M = ModulePresentation(R2xyz, 3, _cols(R2xyz, [["0", "0"],
+                                                      ["x", "x"],
+                                                      ["y", "y^2"]]))
+        assert not is_graded(M)
 
     def test_quotient_rejected_for_resolutions(self):
         Q = parse_ring("F_2[x,y]/(x*y)")
