@@ -6,8 +6,11 @@ with stable field names and sorted keys, so identical requests produce
 byte-identical output.
 
 Exit codes: 0 success (unresolved states are reported, never hidden),
-2 parse error, 3 budget exceeded (partial report), 4 internal invariant
-violation.
+2 parse error (bad syntax, unknown flags or option values such as a
+negative --emax), 3 budget exceeded (partial report), 4 internal invariant
+violation, 5 input error (the input parses but lies outside the command's
+domain, e.g. a module that vanishes at the origin or a Frobenius power
+whose exponents pass the overflow guard).
 """
 
 from __future__ import annotations
@@ -30,11 +33,18 @@ from .modules import ModulePresentation
 from .parse import ParseError, parse_poly, parse_poly_list, parse_ring
 from .perfclosure import (PerfectClosureIdeal, extended_ideal_membership,
                           gamma_fseq, parse_root, prime_extension_check)
-from .ring import order_from_name
+from .ring import ExponentOverflow, order_from_name
 from .verify import SUITE_ALIASES, SUITE_NAMES, run_suite
 
 DEFAULTS = {"e_max": 4, "window": 2, "lift_cap": 6, "budget": 10 ** 6,
             "seed": 0}
+
+
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _basis_list(ideal, budget):
@@ -90,7 +100,11 @@ def _cmd_gb(ns, budget):
     ring = parse_ring(ns.ring)
     I = _ideal_arg(ns, ring)
     if ns.order:
-        basis = groebner_basis(I, order_from_name(ns.order), budget)
+        try:
+            order = order_from_name(ns.order)
+        except ValueError as exc:
+            raise ParseError(str(exc), ns.order, 0) from None
+        basis = groebner_basis(I, order, budget)
         out = [str(g) for g in basis] if basis else ["0"]
     else:
         out = _basis_list(I, budget)
@@ -179,7 +193,10 @@ def _cmd_ass(ns, budget):
     ring = parse_ring(ns.ring)
     I = _ideal_arg(ns, ring)
     if ns.point:
-        point = tuple(int(c) for c in ns.point.split(","))
+        try:
+            point = tuple(int(c) for c in ns.point.split(","))
+        except ValueError:
+            raise ParseError("expected integer coordinates", ns.point, 0) from None
         ans = maximal_in_ass(I, point, budget)
         return ({"maximal_associated": ans},
                 [f"maximal ideal at {point} associated: {ans}"], [])
@@ -362,7 +379,7 @@ def _build_parser():
         p = add(name, help=helptext)
         p.add_argument("--ring", **ring_opt)
         p.add_argument("--ideal", **ideal_opt)
-        p.add_argument("--emax", type=int, default=DEFAULTS["e_max"])
+        p.add_argument("--emax", type=_nonnegative_int, default=DEFAULTS["e_max"])
 
     p = add("fedder", help="F-purity of a quotient ring")
     p.add_argument("--ring", **ring_opt)
@@ -379,7 +396,7 @@ def _build_parser():
         p.add_argument("--levels", type=int, default=DEFAULTS["e_max"])
         p.add_argument("--terms", help="explicit terms '(..);(..);..' for --family list")
         if name == "fseq-radical":
-            p.add_argument("--emax", type=int, default=8)
+            p.add_argument("--emax", type=_nonnegative_int, default=8)
 
     p = add("ass", help="associated primes (monomial) or depth-zero point test")
     p.add_argument("--ring", **ring_opt)
@@ -398,7 +415,7 @@ def _build_parser():
         if name == "depth":
             p.add_argument("--no-cross-check", action="store_true")
         if name in ("sdepth", "reg-check", "cdepth-lb", "kdepth-profile"):
-            p.add_argument("--emax", type=int, default=DEFAULTS["e_max"])
+            p.add_argument("--emax", type=_nonnegative_int, default=DEFAULTS["e_max"])
         if name == "sdepth":
             p.add_argument("--window", type=int, default=DEFAULTS["window"])
         if name == "cdepth-lb":
@@ -418,7 +435,7 @@ def _build_parser():
     p.add_argument("--ring", **ring_opt)
     p.add_argument("--poly", required=True)
     p.add_argument("--ideal", **ideal_opt)
-    p.add_argument("--emax", type=int, default=DEFAULTS["e_max"])
+    p.add_argument("--emax", type=_nonnegative_int, default=DEFAULTS["e_max"])
 
     p = add("prime-check", help="spectrum homeomorphism evidence for a prime")
     p.add_argument("--ring", **ring_opt)
@@ -478,9 +495,12 @@ def main(argv=None):
     except InternalInvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, KeyError) as exc:
+    except KeyError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, ExponentOverflow) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 5
 
     if ns.json:
         out = {"command": ns.command, "inputs": _inputs_dict(ns),

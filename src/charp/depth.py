@@ -323,6 +323,9 @@ def _greedy_search(M, e_max, seed, trials, max_degree, budget):
     """Grow a sequence greedily: the next element is the first pool form
     (linear forms, then homogeneous quadratics) regular on F^e(M) for every
     e <= e_max, modulo the elements already chosen."""
+    if e_max < 0:
+        # with no levels every form would pass, and the search never ends
+        raise ValueError("e_max must be >= 0")
     budget = Budget.ensure(budget)
     free = M.ring.free()
     rank = M.rank

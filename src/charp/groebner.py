@@ -7,6 +7,15 @@ through it too, with module terms encoded under the POT order (see
 modules.py).  Pair selection uses the sugar strategy with both classical
 pair-skipping criteria, and ties are broken by (sugar, lcm key, indices),
 so repeated runs produce bit-identical reduced bases.
+
+Division is heap division (Monagan & Pearce, JSC 46, 2011): the pending
+terms sit in a min-heap under the order's `heap_key`, a flat tuple built
+once per monomial when it first enters the work dict.  The largest term
+is popped, terms whose coefficients cancelled are skipped on the way out,
+and a product term is pushed only when it is new, so a division step
+costs O(log |work|) comparisons instead of re-keying every pending term.
+Terms are still reduced largest first with the same reducer, so remainders
+and step counts are those of the plain max-scan division.
 """
 
 from __future__ import annotations
@@ -32,14 +41,23 @@ def _reducer_table(basis, slots):
 
 def _nf_dict(work, reducers, ring, budget):
     """Full normal form of the term dict `work` against a _reducer_table of
-    monic reducers.  Returns the remainder dict."""
+    monic reducers.  Returns the remainder dict, its terms in descending
+    order.
+
+    Heap division: every pending monomial enters a heap once, under its
+    heap key, and keeps its entry while its coefficient changes in `work`;
+    a popped monomial whose coefficient cancelled to zero is skipped."""
     p = ring.p
-    key = ring.order.key
+    hkey = ring.order.heap_key
     slots = ring.order.slots
+    heap = [(hkey(m), m) for m in work]
+    heapq.heapify(heap)
     rem = {}
-    while work:
-        m = max(work, key=key)
+    while heap:
+        m = heapq.heappop(heap)[1]
         c = work.pop(m)
+        if not c:
+            continue
         for blm, bterms in reducers.get(m[:slots], ()):
             if mono_divides(blm, m):
                 break
@@ -52,11 +70,12 @@ def _nf_dict(work, reducers, ring, budget):
             if bm == blm:
                 continue
             mm = mono_mul(bm, shift)
-            nc = (work.get(mm, 0) - c * bc) % p
-            if nc:
-                work[mm] = nc
+            old = work.get(mm)
+            if old is None:
+                work[mm] = (-c * bc) % p
+                heapq.heappush(heap, (hkey(mm), mm))
             else:
-                work.pop(mm, None)
+                work[mm] = (old - c * bc) % p
     return rem
 
 
@@ -99,6 +118,7 @@ def buchberger(gens, ring, budget=None):
     leading terms in the same position are formed."""
     budget = Budget.ensure(budget)
     key = ring.order.key
+    hkey = ring.order.heap_key
     slots = ring.order.slots
 
     G = []           # (lm, terms, sugar)
@@ -118,13 +138,12 @@ def buchberger(gens, ring, budget=None):
             heapq.heappush(pairs, (sugar, key(lcm), i, j))
 
     def add(poly_terms, sugar):
-        lm = max(poly_terms, key=key)
-        c = poly_terms[lm]
+        terms = sorted(poly_terms.items(), key=lambda mc: hkey(mc[0]))
+        lm, c = terms[0]
         if c != 1:
             inv = pow(c, -1, ring.p)
-            poly_terms = {m: (v * inv) % ring.p for m, v in poly_terms.items()}
-        terms = tuple(sorted(poly_terms.items(), key=lambda mc: key(mc[0]),
-                             reverse=True))
+            terms = [(m, (v * inv) % ring.p) for m, v in terms]
+        terms = tuple(terms)
         G.append((lm, terms, sugar))
         reducers.setdefault(lm[:slots], []).append((lm, terms))
         push_pairs(len(G) - 1)
@@ -245,9 +264,17 @@ class Ideal:
         return all(self.contains(g, budget) for g in other.lifted_gens())
 
     def equal(self, other, budget=None):
+        """Same ideal of the (lifted) free ring, whatever the two rings'
+        monomial orders: reduced bases are unique per order, so equal
+        orders compare bases and different orders test containment both
+        ways."""
         if not self.ring.compatible(other.ring):
             return False
-        return self.groebner_basis(budget) == other.groebner_basis(budget)
+        if self.ring.order == other.ring.order:
+            return (set(self.groebner_basis(budget))
+                    == set(other.groebner_basis(budget)))
+        return (self.contains_ideal(other, budget)
+                and other.contains_ideal(self, budget))
 
     def __eq__(self, other):
         if not isinstance(other, Ideal):
@@ -332,19 +359,23 @@ def intersect(I, J, budget=None):
 
 
 def _exact_div(f, g, budget=None):
-    """Quotient f/g for f a multiple of g (single-divisor division; the
+    """Quotient f/g for f a multiple of g (single-divisor heap division; the
     remainder must vanish)."""
     budget = Budget.ensure(budget)
     ring = f.ring
     p = ring.p
+    hkey = ring.order.heap_key
     ginv = pow(g.lc(), -1, p)
     glm = g.lm()
     work = dict(f.terms)
+    heap = [(hkey(m), m) for m in work]
+    heapq.heapify(heap)
     quot = {}
-    key = ring.order.key
-    while work:
-        m = max(work, key=key)
+    while heap:
+        m = heapq.heappop(heap)[1]
         c = work.pop(m)
+        if not c:
+            continue
         if not mono_divides(glm, m):
             raise ArithmeticError("exact division with nonzero remainder")
         budget.charge()
@@ -355,11 +386,12 @@ def _exact_div(f, g, budget=None):
             if bm == glm:
                 continue
             mm = mono_mul(bm, shift)
-            nc = (work.get(mm, 0) - qc * bc) % p
-            if nc:
-                work[mm] = nc
+            old = work.get(mm)
+            if old is None:
+                work[mm] = (-qc * bc) % p
+                heapq.heappush(heap, (hkey(mm), mm))
             else:
-                work.pop(mm, None)
+                work[mm] = (old - qc * bc) % p
     return ring.from_dict(quot)
 
 

@@ -14,6 +14,7 @@ identity on F_p, which keeps every Frobenius computation exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, le, sub
 
 # Frobenius powers scale exponents by p^e.  Exponents past this guard abort
 # with ExponentOverflow rather than silently producing huge monomials.
@@ -43,25 +44,25 @@ def is_prime(n):
 # monomials: exponent tuples
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b):
     """True when the monomial a divides b (componentwise <=)."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a, b):
     """Exponent vector of a/b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_gcd(a, b):
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return tuple(map(min, a, b))
 
 
 def mono_deg(a):
@@ -73,6 +74,9 @@ def mono_deg(a):
 #
 # An order's `slots` counts the leading exponent slots that hold a module
 # position rather than a variable (see POT); the ideal orders have none.
+# `key` ranks monomials ascending; `heap_key` is a flat tuple whose plain
+# ascending order is the descending order of `key`, so a min-heap or an
+# ascending sort on it yields the largest monomial first.
 
 @dataclass(frozen=True)
 class Lex:
@@ -84,6 +88,9 @@ class Lex:
     def key(self, exps):
         return exps
 
+    def heap_key(self, exps):
+        return tuple(-e for e in exps)
+
 
 @dataclass(frozen=True)
 class GRevLex:
@@ -94,6 +101,9 @@ class GRevLex:
 
     def key(self, exps):
         return (sum(exps), tuple(-e for e in reversed(exps)))
+
+    def heap_key(self, exps):
+        return (-sum(exps),) + exps[::-1]
 
 
 @dataclass(frozen=True)
@@ -116,6 +126,10 @@ class Block:
             (sum(tail), tuple(-e for e in reversed(tail))),
         )
 
+    def heap_key(self, exps):
+        head, tail = exps[: self.k], exps[self.k:]
+        return (-sum(head),) + head[::-1] + (-sum(tail),) + tail[::-1]
+
 
 @dataclass(frozen=True)
 class POT:
@@ -136,6 +150,9 @@ class POT:
 
     def key(self, exps):
         return (-exps[0], self.base.key(exps[2:]))
+
+    def heap_key(self, exps):
+        return (exps[0],) + self.base.heap_key(exps[2:])
 
 
 def order_from_name(name):
@@ -288,7 +305,8 @@ class Ring:
             c %= self.p
             if c:
                 items.append((m, c))
-        items.sort(key=lambda mc: self.order.key(mc[0]), reverse=True)
+        hkey = self.order.heap_key
+        items.sort(key=lambda mc: hkey(mc[0]))
         return Polynomial(self, tuple(items))
 
     def poly(self, text):
@@ -482,7 +500,8 @@ class Polynomial:
             if any(x % q for x in m):
                 return None
             new.append((tuple(x // q for x in m), c))
-        new.sort(key=lambda mc: self.ring.order.key(mc[0]), reverse=True)
+        hkey = self.ring.order.heap_key
+        new.sort(key=lambda mc: hkey(mc[0]))
         return Polynomial(self.ring, tuple(new))
 
     # -- ring changes -------------------------------------------------------

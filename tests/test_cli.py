@@ -117,6 +117,33 @@ class TestExitCodes:
         code, _, _ = run(capsys, "gb", "--ring", "F_2[x]", "--ideal", "(x)")
         assert code == 0
 
+    def test_exponent_overflow_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, "frobpow", "--ring", "F_2[x,y]",
+                             "--ideal", "(x*y)", "--e", "70")
+        assert code == 5
+        assert out == "" and err.startswith("input error:")
+        assert "Traceback" not in err
+
+    def test_vanishing_module_is_an_input_error(self, capsys):
+        code, _, err = run(capsys, "depth", "--ring", "F_2[x,y]",
+                           "--ideal", "(1)")
+        assert code == 5
+        assert "input error: module vanishes at the origin" in err
+
+    def test_negative_emax_is_a_parse_error(self, capsys):
+        for command in ("closure", "closed", "fseq-radical", "sdepth",
+                        "reg-check", "cdepth-lb", "kdepth-profile",
+                        "member-inf"):
+            code, _, err = run(capsys, command, "--emax", "-1")
+            assert code == 2, command
+            assert "--emax: must be >= 0" in err, command
+
+    def test_unknown_order_is_a_parse_error(self, capsys):
+        code, _, err = run(capsys, "gb", "--ring", "F_2[x]", "--ideal", "(x)",
+                           "--order", "revlex")
+        assert code == 2
+        assert "unknown monomial order" in err
+
 
 class TestStructuredOutput:
     def test_stable_fields(self, capsys):

@@ -195,6 +195,12 @@ class TestComparisonChain:
         M = ModulePresentation.cyclic(R2xy, [R2xy.poly("x"), R2xy.poly("y")])
         assert cdepth_lower_bound(M, e_max=2).bound == 0
 
+    def test_negative_e_max_rejected(self, R2xy):
+        # no levels at all would accept every form, so the search never ends
+        M = ModulePresentation.cyclic(R2xy, [R2xy.poly("x*y")])
+        with pytest.raises(ValueError):
+            cdepth_lower_bound(M, e_max=-1)
+
     def test_kdepth_profile_two_planes(self, two_planes):
         rep = kdepth_truncation_profile(two_planes, e_max=3)
         for prof in rep.profiles:

@@ -10,9 +10,15 @@ import random
 
 import pytest
 
-from charp import (Budget, BudgetExceeded, Ideal, Lex, colon_ideal, eliminate,
-                   groebner_basis, intersect, parse_poly, radical_membership)
+from charp import (Block, Budget, BudgetExceeded, GRevLex, Ideal, Lex, Ring,
+                   colon_ideal, eliminate, groebner_basis, intersect,
+                   parse_poly, radical_membership)
+from charp.groebner import _exact_div, _nf_dict, _reducer_table
+from charp.ring import POT, mono_div, mono_divides, mono_mul
 from charp.verify import brute_force_member, random_poly
+
+ORDERS = [Lex(), GRevLex(), Block(1), Block(2), POT(2, GRevLex()),
+          POT(3, Lex())]
 
 
 class TestBasis:
@@ -67,6 +73,14 @@ class TestIdealEquality:
 
     def test_char_two_square_identity(self, R2xy):
         assert Ideal(R2xy, ["(x+y)^2", "x^2"]).equal(Ideal(R2xy, ["x^2", "y^2"]))
+
+    def test_independent_of_the_monomial_order(self, R2xy):
+        # the same reduced basis, listed in a different order under each
+        gens = ["x^2 + y", "x*y + y^2"]
+        grevlex, lex = Ideal(R2xy, gens), Ideal(R2xy.with_order(Lex()), gens)
+        assert grevlex.equal(lex) and lex.equal(grevlex)
+        assert grevlex == lex
+        assert not lex.equal(Ideal(R2xy, ["x^2 + y"]))
 
 
 class TestColon:
@@ -159,3 +173,109 @@ class TestMembershipOracle:
                 assert engine, f"brute found cofactors, engine said no: {f}"
             else:
                 assert not engine, f"engine claims membership unseen by brute: {f}"
+
+
+# ---------------------------------------------------------------------------
+# heap division against a max-scan reference
+
+def _maxscan_nf(work, reducers, ring, budget):
+    """Reference division: rescan every pending term for the largest one
+    under `key` at every step."""
+    p = ring.p
+    key = ring.order.key
+    slots = ring.order.slots
+    rem = {}
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
+        for blm, bterms in reducers.get(m[:slots], ()):
+            if mono_divides(blm, m):
+                break
+        else:
+            rem[m] = c
+            continue
+        budget.charge()
+        shift = mono_div(m, blm)
+        for bm, bc in bterms:
+            if bm == blm:
+                continue
+            mm = mono_mul(bm, shift)
+            nc = (work.get(mm, 0) - c * bc) % p
+            if nc:
+                work[mm] = nc
+            else:
+                work.pop(mm, None)
+    return rem
+
+
+def _order_ring(order, p=5):
+    names = ("x", "y", "z")
+    if order.slots:
+        names = ("e0", "e1") + names
+    return Ring(p, names, order)
+
+
+def _random_mono(order, rng, top=4):
+    exps = tuple(rng.randrange(top) for _ in range(3))
+    if order.slots:
+        i = rng.randrange(order.rank)
+        return (i, order.rank - i) + exps
+    return exps
+
+
+def _random_terms(order, rng, p, count):
+    return {_random_mono(order, rng): rng.randrange(1, p)
+            for _ in range(count)}
+
+
+def _monic_reducer(terms, order, p):
+    """(lm, terms) with terms sorted descending under `key`, lc one."""
+    items = sorted(terms.items(), key=lambda mc: order.key(mc[0]),
+                   reverse=True)
+    inv = pow(items[0][1], -1, p)
+    return items[0][0], tuple((m, c * inv % p) for m, c in items)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.name)
+class TestHeapDivision:
+    def test_matches_max_scan_division(self, order):
+        p = 5
+        ring = _order_ring(order, p)
+        rng = random.Random(f"heapdiv-{order.name}")
+        steps = 0
+        for _ in range(40):
+            basis = [_monic_reducer(_random_terms(order, rng, p, rng.randrange(1, 5)),
+                                    order, p)
+                     for _ in range(rng.randrange(1, 5))]
+            reducers = _reducer_table(basis, order.slots)
+            work = _random_terms(order, rng, p, rng.randrange(1, 9))
+            heap_budget, scan_budget = Budget(10 ** 6), Budget(10 ** 6)
+            got = _nf_dict(dict(work), reducers, ring, heap_budget)
+            want = _maxscan_nf(dict(work), reducers, ring, scan_budget)
+            assert got == want
+            assert heap_budget.used == scan_budget.used
+            # the remainder comes out largest term first
+            assert list(got) == sorted(got, key=order.key, reverse=True)
+            steps += heap_budget.used
+        assert steps > 0
+
+    def test_heap_key_sorts_descending_by_key(self, order):
+        rng = random.Random(f"heapkey-{order.name}")
+        for _ in range(20):
+            monos = list({_random_mono(order, rng, top=5) for _ in range(30)})
+            assert (sorted(monos, key=order.heap_key)
+                    == sorted(monos, key=order.key, reverse=True))
+
+
+@pytest.mark.parametrize("order", [o for o in ORDERS if not o.slots],
+                         ids=lambda o: o.name)
+def test_exact_division_recovers_the_quotient(order):
+    p = 5
+    ring = _order_ring(order, p)
+    rng = random.Random(f"exactdiv-{order.name}")
+    for _ in range(10):
+        g = ring.from_dict(_random_terms(order, rng, p, 3))
+        q = ring.from_dict(_random_terms(order, rng, p, 3))
+        budget = Budget(10 ** 6)
+        assert _exact_div(q * g, g, budget) == q
+        assert budget.used == len(q.terms)
