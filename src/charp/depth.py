@@ -10,8 +10,9 @@ variables, computed homology group by homology group:
                          (tensored with the presentation) escapes the span
                          of the (i+1)-st image and the relation block.
 
-Kernels come from syzygies of [d_i | relations], images are module
-membership questions, so everything reduces to the module engine.  In the
+Kernels are module colons of d_i into the relation block (the heads of
+the syzygies of [d_i | relations]), images are module membership
+questions, so everything reduces to the module engine.  In the
 graded free-ring case the answer is cross-checked against the projective
 dimension through the depth + pd = n identity.
 """
@@ -26,9 +27,8 @@ from math import comb
 from .budget import Budget, InternalInvariantError
 from .frobenius import fedder_f_pure
 from .modules import (FreeComplex, ModulePresentation, diagonal_columns,
-                      free_resolution, in_module, is_graded,
-                      module_colon_by_element, module_groebner,
-                      syzygy_module, unit_vector, vec_is_zero)
+                      free_resolution, in_module, is_graded, module_colon,
+                      module_colon_by_element, module_groebner)
 
 
 # ---------------------------------------------------------------------------
@@ -120,19 +120,14 @@ def koszul_homology_nonzero(xs, M, i, budget=None):
     rel = M.lifted_columns()
     if i == 0:
         d1 = _tensor_identity(koszul_differential(xs, 1, free), r, free)
-        span = d1 + _block_relations(rel, 1, r, free)
-        gb = module_groebner(span, r, free, budget)
-        return any(not in_module(unit_vector(free, r, t), gb, r, free, budget)
-                   for t in range(r))
+        H0 = ModulePresentation(free, r,
+                                d1 + _block_relations(rel, 1, r, free))
+        return not H0.is_zero_module(budget)
     b_i = comb(n, i)
     b_low = comb(n, i - 1)
     di = _tensor_identity(koszul_differential(xs, i, free), r, free)
-    rel_low = _block_relations(rel, b_low, r, free)
-    kernel = []
-    for s in syzygy_module(di + rel_low, b_low * r, free, budget):
-        head = s[:b_i * r]
-        if not vec_is_zero(head):
-            kernel.append(head)
+    kernel = module_colon(di, _block_relations(rel, b_low, r, free),
+                          b_low * r, free, budget)
     if not kernel:
         return False
     image = []
@@ -209,12 +204,9 @@ def is_regular_element(f, cols, rank, ring, budget=None):
     for w in module_colon_by_element(cols, rank, f, ring, budget):
         if not in_module(w, gb, rank, ring, budget):
             return False
-    gb_aug = module_groebner(list(cols) + diagonal_columns(f, rank, ring),
-                             rank, ring, budget)
-    if all(in_module(unit_vector(ring, rank, i), gb_aug, rank, ring, budget)
-           for i in range(rank)):
-        return False
-    return True
+    quotient = ModulePresentation(ring, rank,
+                                  list(cols) + diagonal_columns(f, rank, ring))
+    return not quotient.is_zero_module(budget)
 
 
 def regular_sequence_check(xs, M, e_range, budget=None):

@@ -139,13 +139,17 @@ class FPurityReport:
 
 def fedder_f_pure(ring, m=None, budget=None):
     """Apply the colon-containment criterion at q = p (which settles every
-    q) to the quotient ring."""
+    q) to the quotient ring.  Raises ValueError when m does not contain the
+    defining ideal: its point is then not on V(I)."""
     budget = Budget.ensure(budget)
     free = ring.free()
     p = ring.p
     if m is None:
         m = Ideal(free, free.gens())
     I = Ideal(free, ring.quotient)
+    if not m.contains_ideal(I, budget):
+        raise ValueError(f"the point of {m!r} is not on V(I): it does not "
+                         f"contain the defining ideal {I!r}")
     if not I.gens:
         colon = Ideal(free, [free.one()])
         return FPurityReport(True, free.one(), p, colon)

@@ -6,7 +6,9 @@ generators), so a single engine answers every query; module bases run
 through it too, with module terms encoded under the POT order (see
 modules.py).  Pair selection uses the sugar strategy with both classical
 pair-skipping criteria, and ties are broken by (sugar, lcm key, indices),
-so repeated runs produce bit-identical reduced bases.
+so repeated runs produce bit-identical reduced bases.  Ideal quotients
+are syzygy colons at rank 1 (modules.span_colon), so _nf_dict is the
+only division loop.
 
 Division is heap division (Monagan & Pearce, JSC 46, 2011): the pending
 terms sit in a min-heap under the order's `heap_key`, a flat tuple built
@@ -292,9 +294,6 @@ class Ideal:
         gb = self.groebner_basis()
         return len(gb) == 1 and gb[0].is_constant and not gb[0].is_zero
 
-    def is_monomial_ideal(self):
-        return all(g.is_monomial for g in self.gens)
-
     def plus(self, other):
         gens = self.gens + tuple(g.transported(self.ring) for g in other.gens)
         return Ideal(self.ring, gens)
@@ -358,58 +357,21 @@ def intersect(I, J, budget=None):
     return Ideal(ring, [g.transported(ring) for g in kept])
 
 
-def _exact_div(f, g, budget=None):
-    """Quotient f/g for f a multiple of g (single-divisor heap division; the
-    remainder must vanish)."""
-    budget = Budget.ensure(budget)
-    ring = f.ring
-    p = ring.p
-    hkey = ring.order.heap_key
-    ginv = pow(g.lc(), -1, p)
-    glm = g.lm()
-    work = dict(f.terms)
-    heap = [(hkey(m), m) for m in work]
-    heapq.heapify(heap)
-    quot = {}
-    while heap:
-        m = heapq.heappop(heap)[1]
-        c = work.pop(m)
-        if not c:
-            continue
-        if not mono_divides(glm, m):
-            raise ArithmeticError("exact division with nonzero remainder")
-        budget.charge()
-        shift = mono_div(m, glm)
-        qc = (c * ginv) % p
-        quot[shift] = qc
-        for bm, bc in g.terms:
-            if bm == glm:
-                continue
-            mm = mono_mul(bm, shift)
-            old = work.get(mm)
-            if old is None:
-                work[mm] = (-qc * bc) % p
-                heapq.heappush(heap, (hkey(mm), mm))
-            else:
-                work[mm] = (old - qc * bc) % p
-    return ring.from_dict(quot)
-
-
 def colon_ideal(I, J, budget=None):
-    """(I : J) = {r | r*J inside I}, generator by generator through
-    intersections with principal ideals."""
+    """(I : J) = {r | r*J inside I}: the ideal of r with r*g in the span of
+    the lifted generators of I for every generator g of J, each a syzygy
+    colon at rank 1 (modules.span_colon)."""
+    from .modules import span_colon
+
     if I.ring.p != J.ring.p or I.ring.variables != J.ring.variables:
         raise ValueError("colon of ideals in different rings")
     ring = I.ring
     free = ring.free()
-    gens_j = [g.transported(free) for g in J.gens if g]
+    gens_j = [(g.transported(free),) for g in J.gens if g]
     if not gens_j:
         raise ValueError("colon by the zero ideal")
-    result = None
-    for g in gens_j:
-        meet = intersect(Ideal(free, I.lifted_gens()), Ideal(free, [g]), budget)
-        part = Ideal(free, [_exact_div(h, g, budget) for h in meet.gens])
-        result = part if result is None else intersect(result, part, budget)
+    cols = [(h,) for h in I.lifted_gens()]
+    result = span_colon(gens_j, cols, 1, free, budget)
     return Ideal(ring, [g.transported(ring) for g in result.gens])
 
 

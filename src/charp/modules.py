@@ -12,6 +12,11 @@ the standard elimination embedding: stack an identity block under the
 matrix, compute a module basis where the original positions dominate, and
 keep the elements supported entirely on the tag block.
 
+Every colon is the head of one syzygy module: module_colon returns the
+w with sum w_k * maps[k] in the span of cols as the first len(maps)
+entries of the syzygies of [maps | cols].  Ideal quotients, annihilators,
+the nonzerodivisor test and Koszul cycles are all such colons.
+
 A ModulePresentation is a cokernel: M = S^rank / (column span of relations).
 Quotient rings are handled by appending one relation column per quotient
 generator and basis row, so homology answers are answers over R = S/I0.
@@ -32,21 +37,8 @@ def zero_vector(ring, rank):
     return (z,) * rank
 
 
-def unit_vector(ring, rank, i):
-    z = ring.zero()
-    return tuple(ring.one() if j == i else z for j in range(rank))
-
-
 def vec_is_zero(vec):
     return all(c.is_zero for c in vec)
-
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(u, f):
-    return tuple(f * a for a in u)
 
 
 def apply_columns(columns, coeffs, ring, rank):
@@ -190,11 +182,11 @@ class ModulePresentation:
                                self.ring.free(), budget)
 
     def is_zero_module(self, budget=None):
+        """Every unit vector lies in the relation span."""
         free = self.ring.free()
         gb = self.relation_basis(budget)
-        return all(in_module(unit_vector(free, self.rank, i), gb, self.rank,
-                             free, budget)
-                   for i in range(self.rank))
+        return all(in_module(e, gb, self.rank, free, budget)
+                   for e in diagonal_columns(free.one(), self.rank, free))
 
     def __repr__(self):
         if not self.columns:
@@ -377,35 +369,43 @@ def projective_dimension(pres, cap=8, budget=None):
 
 
 # ---------------------------------------------------------------------------
-# annihilators and module colons
+# colons
 
-def annihilator(pres, budget=None):
-    """{r : r*M = 0} as an ideal, via syzygies of [e_j | relations] for each
-    generator, intersected over j."""
+def module_colon(maps, cols, rank, ring, budget=None):
+    """Generators of {w : sum w_k * maps[k] in the span of cols}: the
+    syzygies of [maps | cols] cut to their first len(maps) entries (zero
+    heads dropped)."""
+    maps = list(maps)
+    heads = (s[:len(maps)]
+             for s in syzygy_module(maps + list(cols), rank, ring, budget))
+    return [w for w in heads if not vec_is_zero(w)]
+
+
+def span_colon(vectors, cols, rank, ring, budget=None):
+    """The ideal {r : r*v in the span of cols for every v in vectors}, one
+    module colon per vector, intersected; the unit ideal when there are no
+    vectors."""
     budget = Budget.ensure(budget)
-    free = pres.ring.free()
-    cols = pres.lifted_columns()
     result = None
-    for j in range(pres.rank):
-        ej = unit_vector(free, pres.rank, j)
-        syz = syzygy_module([ej] + cols, pres.rank, free, budget)
-        gens = [s[0] for s in syz if s[0]]
-        part = Ideal(free, gens)
+    for v in vectors:
+        part = Ideal(ring, [w[0] for w in module_colon([v], cols, rank, ring,
+                                                       budget)])
         result = part if result is None else intersect(result, part, budget)
     if result is None:
-        result = Ideal(free, [free.one()])  # rank 0: the zero module
-    return Ideal(pres.ring, result.gens)
+        result = Ideal(ring, [ring.one()])
+    return result
+
+
+def annihilator(pres, budget=None):
+    """{r : r*M = 0} as an ideal: the colon of the relations by every unit
+    vector."""
+    free = pres.ring.free()
+    units = diagonal_columns(free.one(), pres.rank, free)
+    ann = span_colon(units, pres.lifted_columns(), pres.rank, free, budget)
+    return Ideal(pres.ring, ann.gens)
 
 
 def module_colon_by_element(cols, rank, f, ring, budget=None):
-    """Generators of {w in S^rank : f*w in column span}, via syzygies of
-    [f*I | columns]."""
-    budget = Budget.ensure(budget)
-    aug = diagonal_columns(f, rank, ring) + list(cols)
-    syz = syzygy_module(aug, rank, ring, budget)
-    out = []
-    for s in syz:
-        w = s[:rank]
-        if not vec_is_zero(w):
-            out.append(w)
-    return out
+    """Generators of {w in S^rank : f*w in column span}."""
+    return module_colon(diagonal_columns(f, rank, ring), cols, rank, ring,
+                        budget)

@@ -130,6 +130,12 @@ class TestExitCodes:
         assert code == 5
         assert "input error: module vanishes at the origin" in err
 
+    def test_fedder_off_the_variety_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, "fedder", "--ring", "F_2[x,y]/(x-1)")
+        assert code == 5
+        assert out == "" and err.startswith("input error:")
+        assert "not on V(I)" in err
+
     def test_negative_emax_is_a_parse_error(self, capsys):
         for command in ("closure", "closed", "fseq-radical", "sdepth",
                         "reg-check", "cdepth-lb", "kdepth-profile",

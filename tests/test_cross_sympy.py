@@ -1,6 +1,7 @@
-"""Cross-validation of reduced Groebner bases against an independent
-engine.  sympy implements its own Buchberger over GF(p); reduced bases are
-unique per (ideal, order), so the two engines must emit identical sets."""
+"""Cross-validation against an independent engine.  sympy implements its
+own Buchberger over GF(p); reduced bases are unique per (ideal, order), so
+the two engines must emit identical sets.  Colons, intersections and
+eliminations are compared as ideals."""
 
 import random
 
@@ -8,7 +9,8 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from charp import Ideal, Lex, groebner_basis, parse_ring
+from charp import (Ideal, Lex, colon_ideal, eliminate, groebner_basis,
+                   intersect, parse_ring)
 from charp.verify import random_poly
 
 
@@ -74,3 +76,62 @@ def test_random_ideals_match(ring_text, order_name):
         if not gens:
             continue
         compare(ring, gens, order_name)
+
+
+# ---------------------------------------------------------------------------
+# ideal operations: sympy's module-theoretic quotient and intersection, and
+# the variable-free part of its lex basis for elimination
+
+def to_charp_ideal(exprs, ring, gens):
+    polys = []
+    for expr in exprs:
+        p = sympy.Poly(expr, *gens, modulus=ring.p)
+        polys.append(ring.from_dict({tuple(int(e) for e in exps): int(c) % ring.p
+                                     for exps, c in p.terms()}))
+    return Ideal(ring, polys)
+
+
+def random_pairs(ring_text, count, rng, dense_poly):
+    """I = (u1*v1, u2*v2) and J = (u1, u2 or a random linear form), so that
+    (I : J) is a proper ideal that each generator of J cuts down."""
+    ring = parse_ring(ring_text)
+    sym_gens = sympy.symbols(" ".join(ring.variables))
+    out = []
+    for _ in range(count):
+        u = [dense_poly(ring, rng, 1, 2) for _ in range(2)]
+        v = [dense_poly(ring, rng, 2, 3) for _ in range(2)]
+        I = Ideal(ring, [a * b for a, b in zip(u, v)])
+        J = Ideal(ring, [u[0], rng.choice([u[1], dense_poly(ring, rng, 1, 2)])])
+        out.append((ring, sym_gens, I, J))
+    return out
+
+
+def sympy_ideal(R, ideal, sym_gens):
+    return R.ideal(*[to_sympy(g, sym_gens) for g in ideal.gens])
+
+
+@pytest.mark.parametrize("ring_text", ["F_2[x,y,z]", "F_3[x,y]", "F_5[x,y,z]"])
+def test_colon_and_intersection_match(ring_text, dense_poly):
+    rng = random.Random(f"cross-colon/{ring_text}")
+    for ring, sym_gens, I, J in random_pairs(ring_text, 5, rng, dense_poly):
+        R = sympy.FF(ring.p).old_poly_ring(*sym_gens)
+        sI, sJ = sympy_ideal(R, I, sym_gens), sympy_ideal(R, J, sym_gens)
+        want = to_charp_ideal([R.to_sympy(g) for g in sI.quotient(sJ).gens],
+                              ring, sym_gens)
+        assert colon_ideal(I, J).equal(want), f"({I!r} : {J!r})"
+        want = to_charp_ideal([R.to_sympy(g) for g in sI.intersect(sJ).gens],
+                              ring, sym_gens)
+        assert intersect(I, J).equal(want), f"{I!r} cap {J!r}"
+
+
+@pytest.mark.parametrize("ring_text,k", [("F_2[x,y,z]", 1), ("F_3[x,y,z]", 2),
+                                         ("F_5[x,y]", 1)])
+def test_elimination_matches_the_lex_basis(ring_text, k, dense_poly):
+    rng = random.Random(f"cross-elim/{ring_text}")
+    for ring, sym_gens, I, _ in random_pairs(ring_text, 5, rng, dense_poly):
+        lex = sympy.groebner([to_sympy(g, sym_gens) for g in I.gens],
+                             *sym_gens, modulus=ring.p, order="lex")
+        dropped = set(sym_gens[:k])
+        kept = [e for e in lex.exprs if not (e.free_symbols & dropped)]
+        want = to_charp_ideal(kept, ring, sym_gens)
+        assert eliminate(I, k).equal(want), f"{I!r}, k = {k}"

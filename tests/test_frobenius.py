@@ -104,6 +104,15 @@ class TestFedder:
     def test_regular_ring_f_pure(self, R2xy):
         assert fedder_f_pure(R2xy).is_f_pure
 
+    def test_point_off_the_variety_rejected(self):
+        # x - 1 does not vanish at the origin, so the origin is not on V(I)
+        ring = parse_ring("F_2[x,y]/(x - 1)")
+        with pytest.raises(ValueError, match="not on V"):
+            fedder_f_pure(ring)
+        # the maximal ideal of the point (1, 0) does contain x - 1
+        m = Ideal(ring.free(), ["x - 1", "y"])
+        assert fedder_f_pure(ring, m).is_f_pure
+
     def test_colon_value_for_hypersurface(self):
         # (I^[2] : I) = (f) for the p = 2 hypersurface, and f lies inside
         # the bracket of the maximal ideal, which is the failure route

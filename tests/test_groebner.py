@@ -12,8 +12,8 @@ import pytest
 
 from charp import (Block, Budget, BudgetExceeded, GRevLex, Ideal, Lex, Ring,
                    colon_ideal, eliminate, groebner_basis, intersect,
-                   parse_poly, radical_membership)
-from charp.groebner import _exact_div, _nf_dict, _reducer_table
+                   parse_poly, parse_ring, radical_membership)
+from charp.groebner import _nf_dict, _reducer_table
 from charp.ring import POT, mono_div, mono_divides, mono_mul
 from charp.verify import brute_force_member, random_poly
 
@@ -114,6 +114,31 @@ class TestColon:
             C = colon_ideal(I, Ideal(R2xyz, [g]))
             for c in C.gens:
                 assert I.contains(c * g)
+            assert_times_colon_is_intersection(I, g, C)
+
+    @pytest.mark.parametrize("ring_text", [
+        "F_2[x,y,z]", "F_3[x,y]", "F_5[x,y,z]", "F_2[x,y,z]/(x^2 + y*z^2)",
+        "F_3[x,y]/(x*y)",
+    ])
+    def test_times_colon_is_intersection(self, ring_text, dense_poly):
+        # g*(I : g) = I cap (g), the second side by the tag-variable route;
+        # g divides one generator of I, so the colon is larger than I
+        ring = parse_ring(ring_text)
+        free = ring.free()
+        rng = random.Random(f"colon-meet/{ring_text}")
+        for _ in range(6):
+            u, v, w, g = (dense_poly(free, rng, d, t)
+                          for d, t in ((1, 2), (2, 3), (2, 3), (1, 2)))
+            I = Ideal(ring, [u * v, g * w])
+            C = colon_ideal(I, Ideal(ring, [g]))
+            assert_times_colon_is_intersection(I, g, C)
+
+
+def assert_times_colon_is_intersection(I, g, C):
+    free = I.ring.free()
+    product = Ideal(free, [g * c for c in C.lifted_gens()])
+    meet = intersect(Ideal(free, I.lifted_gens()), Ideal(free, [g]))
+    assert product.equal(meet), f"{I!r} : {g}"
 
 
 class TestEliminate:
@@ -265,17 +290,3 @@ class TestHeapDivision:
             monos = list({_random_mono(order, rng, top=5) for _ in range(30)})
             assert (sorted(monos, key=order.heap_key)
                     == sorted(monos, key=order.key, reverse=True))
-
-
-@pytest.mark.parametrize("order", [o for o in ORDERS if not o.slots],
-                         ids=lambda o: o.name)
-def test_exact_division_recovers_the_quotient(order):
-    p = 5
-    ring = _order_ring(order, p)
-    rng = random.Random(f"exactdiv-{order.name}")
-    for _ in range(10):
-        g = ring.from_dict(_random_terms(order, rng, p, 3))
-        q = ring.from_dict(_random_terms(order, rng, p, 3))
-        budget = Budget(10 ** 6)
-        assert _exact_div(q * g, g, budget) == q
-        assert budget.used == len(q.terms)
