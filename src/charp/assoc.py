@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .budget import Budget
 from .groebner import Ideal
-from .ring import mono_divides
+from .ring import minimal_monomials, mono_divides
 
 KIND_ASS = "Ass"
 KIND_WEAK = "wAss"
@@ -64,11 +64,7 @@ def ass_monomial(I, budget=None):
     gens = [g.transported(ring) for g in I.lifted_gens()]
     if any(not g.is_monomial for g in gens):
         raise ValueError("ass_monomial needs monomial generators")
-    monos = [g.lm() for g in gens]
-    minimal = []
-    for m in sorted(monos, key=ring.order.key):
-        if not any(mono_divides(k, m) for k in minimal):
-            minimal.append(m)
+    minimal = minimal_monomials((g.lm() for g in gens), ring.order.key)
     if not minimal:
         # the zero ideal over a domain
         return (PrimeIdealRecord((), witness=ring.one()),)
@@ -81,13 +77,8 @@ def ass_monomial(I, budget=None):
         if any(mono_divides(m, exps) for m in minimal):
             continue  # witness already in I
         budget.charge()
-        colon = []
-        for m in minimal:
-            colon.append(tuple(max(x - e, 0) for x, e in zip(m, exps)))
-        keep = []
-        for m in sorted(colon, key=ring.order.key):
-            if not any(mono_divides(k, m) for k in keep):
-                keep.append(m)
+        keep = minimal_monomials((tuple(max(x - e, 0) for x, e in zip(m, exps))
+                                  for m in minimal), ring.order.key)
         prime_vars = set()
         is_prime = True
         for m in keep:
@@ -112,11 +103,7 @@ def minimal_primes_monomial(I, budget=None):
     gens = [g.transported(ring) for g in I.lifted_gens()]
     if any(not g.is_monomial for g in gens):
         raise ValueError("monomial generators required")
-    monos = [g.lm() for g in gens]
-    minimal = []
-    for m in sorted(monos, key=ring.order.key):
-        if not any(mono_divides(k, m) for k in minimal):
-            minimal.append(m)
+    minimal = minimal_monomials((g.lm() for g in gens), ring.order.key)
     if not minimal:
         return ((),)
     covers = {frozenset()}

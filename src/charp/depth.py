@@ -15,6 +15,15 @@ the syzygies of [d_i | relations]), images are module membership
 questions, so everything reduces to the module engine.  In the
 graded free-ring case the answer is cross-checked against the projective
 dimension through the depth + pd = n identity.
+
+The greedy regular-sequence search is the third route.  On a graded
+module a form f of degree d is regular exactly when M != 0 and the
+K-polynomials satisfy K(M/fM) = (1 - t^d) K(M), so each test costs two
+module bases and no syzygies; ungraded inputs keep the syzygy test.  The
+same Hilbert series give dim M, and the search stops as soon as some level
+modulo the witness has dimension 0 (depth <= dim).  Both read only M's own
+leading terms, so the route stays independent of Koszul homology and of
+n - pd.
 """
 
 from __future__ import annotations
@@ -27,8 +36,9 @@ from math import comb
 from .budget import Budget, InternalInvariantError
 from .frobenius import fedder_f_pure
 from .modules import (FreeComplex, ModulePresentation, diagonal_columns,
-                      free_resolution, in_module, is_graded, module_colon,
-                      module_colon_by_element, module_groebner)
+                      free_resolution, hilbert_dimension, in_module,
+                      k_times_one_minus, kpolynomial, module_colon,
+                      module_colon_by_element, module_groebner, row_degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +191,8 @@ def depth_at_origin(M, cross_check=True, budget=None):
             break
     if depth is None:
         raise ValueError("module vanishes at the origin; depth undefined")
-    if cross_check and not M.ring.is_quotient and is_graded(M):
+    if (cross_check and not M.ring.is_quotient
+            and row_degrees(M.lifted_columns(), M.rank) is not None):
         _, pd = free_resolution(M, cap=n, budget=budget)
         if pd is None:
             pd = n  # Hilbert's bound: the cap-n resolution always closes
@@ -194,12 +205,24 @@ def depth_at_origin(M, cross_check=True, budget=None):
 # ---------------------------------------------------------------------------
 # regular elements and sequences
 
-def is_regular_element(f, cols, rank, ring, budget=None):
-    """f is a nonzerodivisor on coker(cols) and does not act as the whole
-    module (coker != f*coker)."""
-    budget = Budget.ensure(budget)
-    if f.is_zero:
+def _regular_by_hilbert(f, cols, rank, ring, degrees, budget):
+    """The Hilbert route, for M = coker(cols) graded by `degrees` and a form
+    f of degree d >= 1.  The exact sequence
+    0 -> (0 :_M f)(-d) -> M(-d) -> M -> M/fM -> 0 gives
+    HS(M/fM) = (1 - t^d) HS(M) + t^d HS(0 :_M f), so f is regular exactly
+    when M != 0 and K(M/fM) = (1 - t^d) K(M); graded Nakayama gives
+    M != fM for free."""
+    k = kpolynomial(cols, rank, ring, degrees, budget)
+    if not k:
         return False
+    quotient = list(cols) + diagonal_columns(f, rank, ring)
+    return (kpolynomial(quotient, rank, ring, degrees, budget)
+            == k_times_one_minus(k, f.degree()))
+
+
+def _regular_by_syzygies(f, cols, rank, ring, budget):
+    """The syzygy route: every w with f*w in the column span lies in the
+    span itself, and M/fM does not vanish."""
     gb = module_groebner(cols, rank, ring, budget)
     for w in module_colon_by_element(cols, rank, f, ring, budget):
         if not in_module(w, gb, rank, ring, budget):
@@ -207,6 +230,20 @@ def is_regular_element(f, cols, rank, ring, budget=None):
     quotient = ModulePresentation(ring, rank,
                                   list(cols) + diagonal_columns(f, rank, ring))
     return not quotient.is_zero_module(budget)
+
+
+def is_regular_element(f, cols, rank, ring, budget=None):
+    """f is a nonzerodivisor on M = coker(cols) and does not act as the
+    whole module (M != f*M).  Graded M and a form f take the Hilbert
+    route, every other input the syzygy route: the route depends on the
+    input only.  Constants are never regular, since M = cM."""
+    budget = Budget.ensure(budget)
+    if f.is_constant:
+        return False
+    degrees = row_degrees(cols, rank) if f.is_homogeneous else None
+    if degrees is not None:
+        return _regular_by_hilbert(f, cols, rank, ring, degrees, budget)
+    return _regular_by_syzygies(f, cols, rank, ring, budget)
 
 
 def regular_sequence_check(xs, M, e_range, budget=None):
@@ -302,8 +339,10 @@ def quadratic_candidates(ring, seed=0, trials=256):
 @dataclass
 class DepthSearchReport:
     """Greedy regular-sequence search outcome: a certified lower bound with
-    its witness sequence; exhaustive means every candidate pool was fully
-    enumerated, so the bound is sharp for sequences drawn from the pools."""
+    its witness sequence.  exhaustive means the bound is sharp: either every
+    candidate pool was fully enumerated (sharp for sequences drawn from the
+    pools), or the search stopped because some graded level of M modulo the
+    witness has dimension 0, where depth <= dim makes it sharp outright."""
 
     bound: int
     witness: tuple
@@ -311,10 +350,24 @@ class DepthSearchReport:
     seed: int = 0
 
 
+def _dimension_zero(levels, rank, ring, budget):
+    """Some graded level has Krull dimension <= 0 (read off its Hilbert
+    series), so no form is regular on it."""
+    for cols in levels:
+        degrees = row_degrees(cols, rank)
+        if degrees is not None and hilbert_dimension(
+                kpolynomial(cols, rank, ring, degrees, budget),
+                ring.nvars) <= 0:
+            return True
+    return False
+
+
 def _greedy_search(M, e_max, seed, trials, max_degree, budget):
     """Grow a sequence greedily: the next element is the first pool form
     (linear forms, then homogeneous quadratics) regular on F^e(M) for every
-    e <= e_max, modulo the elements already chosen."""
+    e <= e_max, modulo the elements already chosen.  A round starts with
+    the dim stop: once some level has dimension 0, no round can extend the
+    witness, and the bound equals that level's depth."""
     if e_max < 0:
         # with no levels every form would pass, and the search never ends
         raise ValueError("e_max must be >= 0")
@@ -326,6 +379,8 @@ def _greedy_search(M, e_max, seed, trials, max_degree, budget):
     witness = []
     exhaustive = True
     while True:
+        if _dimension_zero(levels, rank, free, budget):
+            return DepthSearchReport(len(witness), tuple(witness), True, seed)
         pools = [linear_candidates(free, seed, trials)]
         if max_degree >= 2:
             pools.append(quadratic_candidates(free, seed, trials))

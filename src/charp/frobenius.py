@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .budget import Budget, InternalInvariantError, Unresolved
 from .groebner import Ideal, buchberger, colon_ideal, radical_membership
-from .ring import Block, Polynomial, Ring
+from .ring import Block, Polynomial, Ring, minimal_monomials
 
 
 # ---------------------------------------------------------------------------
@@ -37,12 +37,8 @@ def _preimage_step(gens, free, budget):
     p = free.p
     if all(g.is_monomial for g in gens):
         roots = {tuple(-(-x // p) for x in g.lm()) for g in gens}
-        minimal = []
-        for m in sorted(roots, key=free.order.key):
-            from .ring import mono_divides
-            if not any(mono_divides(k, m) for k in minimal):
-                minimal.append(m)
-        return [free.monomial(m) for m in minimal]
+        return [free.monomial(m)
+                for m in minimal_monomials(roots, free.order.key)]
     n = free.nvars
     tags = free.fresh_names(n, "q")
     ext = Ring(p, free.variables + tags, Block(n))
@@ -137,15 +133,29 @@ class FPurityReport:
     colon: Ideal
 
 
+def _is_rational_point(m, budget):
+    """m is (x_1 - a_1, ..., x_n - a_n) for some a in F_p^n: the leading
+    monomials of its reduced basis are the n variables (every tail term is
+    then a constant, the only monomial no variable divides)."""
+    gb = m.groebner_basis(budget)
+    n = m.ring.nvars
+    return (len(gb) == n and {g.lm() for g in gb}
+            == {tuple(int(j == i) for j in range(n)) for i in range(n)})
+
+
 def fedder_f_pure(ring, m=None, budget=None):
     """Apply the colon-containment criterion at q = p (which settles every
-    q) to the quotient ring.  Raises ValueError when m does not contain the
+    q) to the quotient ring.  Raises ValueError unless m is the maximal
+    ideal of an F_p-rational point, and when m does not contain the
     defining ideal: its point is then not on V(I)."""
     budget = Budget.ensure(budget)
     free = ring.free()
     p = ring.p
     if m is None:
         m = Ideal(free, free.gens())
+    elif not _is_rational_point(m, budget):
+        raise ValueError(f"{m!r} is not the maximal ideal of an "
+                         f"F_{p}-rational point (x_1 - a_1, ..., x_n - a_n)")
     I = Ideal(free, ring.quotient)
     if not m.contains_ideal(I, budget):
         raise ValueError(f"the point of {m!r} is not on V(I): it does not "

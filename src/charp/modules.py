@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from .budget import Budget
 from .groebner import Ideal, buchberger, intersect, normal_form_poly
-from .ring import POT, Polynomial, Ring
+from .ring import POT, Polynomial, Ring, minimal_monomials, mono_deg
 
 
 # ---------------------------------------------------------------------------
@@ -196,16 +196,16 @@ class ModulePresentation:
         return f"coker[{cols}] over {self.ring!r}"
 
 
-def is_graded(pres):
-    """True when the relation matrix is homogeneous for some assignment of
-    degrees to the basis rows (graded Nakayama territory)."""
-    cols = pres.lifted_columns()
+def row_degrees(cols, rank):
+    """Degrees of the basis rows of S^rank that make every column
+    homogeneous, each connected component of rows seeded at degree 0, or
+    None when no such degrees exist (graded Nakayama territory)."""
     for col in cols:
         for e in col:
             if e and not e.is_homogeneous:
-                return False
+                return None
     row_deg = {}
-    for start in range(pres.rank):
+    for start in range(rank):
         if start in row_deg:
             continue
         # a row no earlier row reaches starts a new connected component
@@ -226,11 +226,105 @@ def is_graded(pres):
                     want = cdeg - e.degree()
                     if i in row_deg:
                         if row_deg[i] != want:
-                            return False
+                            return None
                     else:
                         row_deg[i] = want
                         changed = True
-    return True
+    return [row_deg[i] for i in range(rank)]
+
+
+def is_graded(pres):
+    """True when the relation matrix has homogeneous row degrees."""
+    return row_degrees(pres.lifted_columns(), pres.rank) is not None
+
+
+# ---------------------------------------------------------------------------
+# Hilbert series
+#
+# A graded M = S^r/U over S = F_p[x_1..x_n] has HS(M) = K(t) / (1 - t)^n.
+# The K-polynomial K is a Laurent polynomial in t, kept as a dict
+# {exponent: nonzero integer}.  HS(S^r/U) = HS(S^r/in(U)) (Macaulay), and
+# in(U) splits by position: HS = sum_i t^{deg e_i} HS(S/in(U)_i).
+
+def _k_add(a, b, shift=0):
+    """a + t^shift * b."""
+    out = dict(a)
+    for d, c in b.items():
+        c += out.get(d + shift, 0)
+        if c:
+            out[d + shift] = c
+        else:
+            out.pop(d + shift, None)
+    return out
+
+
+def k_times_one_minus(k, d):
+    """k * (1 - t^d)."""
+    return _k_add(k, {e: -c for e, c in k.items()}, d)
+
+
+def monomial_kpolynomial(monos, budget=None):
+    """K(S/J) for the monomial ideal J generated by the exponent tuples
+    `monos`, by Bigatti's pivot recursion (JPAA 119, 1997): with P = x^a,
+    K(S/J) = K(S/(J + P)) + t^a K(S/(J : P)).  The pivot variable lies in
+    the most minimal generators, a is the lower median of its exponents
+    there; recursion stops at pairwise coprime generators, where
+    K = prod (1 - t^deg m).  Each pivot step charges the budget."""
+    budget = Budget.ensure(budget)
+    gens = minimal_monomials(monos)
+    if not gens:
+        return {0: 1}
+    n = len(gens[0])
+    counts = [sum(1 for m in gens if m[i]) for i in range(n)]
+    i = max(range(n), key=counts.__getitem__)
+    if counts[i] <= 1:
+        k = {0: 1}
+        for m in gens:
+            k = k_times_one_minus(k, mono_deg(m))
+        return k
+    budget.charge()
+    # x_i lies in two minimal generators, so no pure power x_i^b with
+    # b <= a is in J: both branches are strictly larger ideals
+    a = sorted(m[i] for m in gens if m[i])[(counts[i] - 1) // 2]
+    pivot = tuple(a if j == i else 0 for j in range(n))
+    plus = monomial_kpolynomial(gens + [pivot], budget)
+    colon = monomial_kpolynomial(
+        [tuple(max(e - f, 0) for e, f in zip(m, pivot)) for m in gens], budget)
+    return _k_add(plus, colon, a)
+
+
+def kpolynomial(cols, rank, ring, degrees, budget=None):
+    """K-polynomial of coker(cols) with basis row i in degree degrees[i]
+    (see row_degrees): in(U)_i is read by position off the leading terms of
+    the POT basis of the column span."""
+    budget = Budget.ensure(budget)
+    lead = [[] for _ in range(rank)]
+    for v in module_groebner(cols, rank, ring, budget):
+        i = next(i for i, e in enumerate(v) if e)
+        lead[i].append(v[i].lm())
+    k = {}
+    for d, monos in zip(degrees, lead):
+        k = _k_add(k, monomial_kpolynomial(monos, budget), d)
+    return k
+
+
+def hilbert_dimension(k, n):
+    """Krull dimension n - ord_{t=1} K of a module over n variables with
+    K-polynomial k; -1 for the zero module (k = 0)."""
+    if not k:
+        return -1
+    low = min(k)
+    coeffs = [k.get(low + d, 0) for d in range(max(k) - low + 1)]
+    order = 0
+    while sum(coeffs) == 0:
+        # divide by (t - 1): synthetic division from the top coefficient
+        acc, quotient = 0, []
+        for c in reversed(coeffs[1:]):
+            acc += c
+            quotient.append(acc)
+        coeffs = quotient[::-1]
+        order += 1
+    return n - order
 
 
 # ---------------------------------------------------------------------------

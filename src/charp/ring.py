@@ -69,6 +69,17 @@ def mono_deg(a):
     return sum(a)
 
 
+def minimal_monomials(monos, key=None):
+    """The minimal elements of `monos` under divisibility, each once, in
+    ascending `key` order (default: degree, then exponents).  Any key that
+    ranks a proper divisor first works, e.g. every monomial order's key."""
+    minimal = []
+    for m in sorted(monos, key=key or (lambda m: (sum(m), m))):
+        if not any(mono_divides(k, m) for k in minimal):
+            minimal.append(m)
+    return minimal
+
+
 # ---------------------------------------------------------------------------
 # monomial orders
 #

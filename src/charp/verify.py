@@ -37,8 +37,9 @@ from .frobenius import (FSequence, fedder_f_pure, frobenius_closure,
 from .groebner import (Ideal, colon_ideal, eliminate, normal_form_poly,
                        radical_membership)
 from .modules import (ModulePresentation, annihilator, apply_columns,
-                      free_resolution, in_module, module_groebner,
-                      syzygy_module, vec_is_zero)
+                      free_resolution, in_module, kpolynomial,
+                      module_groebner, row_degrees, syzygy_module,
+                      vec_is_zero)
 from .parse import parse_poly, parse_ring
 from .perfclosure import (PerfectClosureIdeal, fseq_to_perfect_ideal,
                           gamma_fseq, prime_extension_check,
@@ -85,6 +86,46 @@ def random_graded_cyclic_ideal(ring, rng, max_deg=4, max_gens=3,
         else:
             gens.append(random_homogeneous_binomial(ring, rng, max_deg))
     return Ideal(ring, gens)
+
+
+def random_form(ring, rng, deg, max_terms=3):
+    """A nonzero form of degree `deg` with up to `max_terms` terms."""
+    monos = [m for m in itertools.product(range(deg + 1), repeat=ring.nvars)
+             if mono_deg(m) == deg]
+    picked = rng.sample(monos, min(len(monos), rng.randrange(1, max_terms + 1)))
+    return ring.from_dict({m: rng.randrange(1, ring.p) for m in picked})
+
+
+def random_graded_module(ring, rng, max_rank=3, max_deg=2):
+    """coker of a homogeneous matrix over S^r, 1 <= r <= max_rank: rows in
+    degree 0 or 1, every nonzero entry a form of degree >= 1 (so no unit
+    entry splits a row off), each column nonzero."""
+    rank = rng.randrange(1, max_rank + 1)
+    rows = [rng.randrange(2) for _ in range(rank)]
+    cols = []
+    for _ in range(rng.randrange(1, rank + 3)):
+        top = max(rows) + rng.randrange(1, max_deg + 1)
+        col = [random_form(ring, rng, top - d) if rng.random() < 0.7
+               else ring.zero() for d in rows]
+        if vec_is_zero(col):
+            i = rng.randrange(rank)
+            col[i] = random_form(ring, rng, top - rows[i])
+        cols.append(tuple(col))
+    return ModulePresentation(ring, rank, cols)
+
+
+def resolution_kpolynomial(cx, degrees):
+    """sum_i (-1)^i sum_j t^{deg of generator j of F_i} for a homogeneous
+    free resolution cx whose F_0 rows sit in `degrees`; each generator of
+    F_i takes the degree of its column in D_i."""
+    k = {}
+    for i in range(cx.length + 1):
+        for d in degrees:
+            k[d] = k.get(d, 0) + (-1) ** i
+        if i < cx.length:
+            degrees = [next(r + e.degree() for r, e in zip(degrees, col) if e)
+                       for col in cx.diffs[i]]
+    return {d: c for d, c in k.items() if c}
 
 
 def random_poly(ring, rng, max_deg=3, max_terms=4):
@@ -689,6 +730,25 @@ def _res_exact(ctx):
             for u in upper:
                 if not in_module(u, span_ker, cx.rank(i), ring, ctx.budget()):
                     return FAIL, f"image escapes kernel at step {i}"
+    return PASS, ""
+
+
+@check("modgb/kpolynomial-euler", "the K-polynomial read off leading terms "
+       "equals the alternating sum of the twisted ranks of the free "
+       "resolution", ("invariants-random",))
+def _kpoly_euler(ctx):
+    rng = ctx.rng("kpoly")
+    rings = [parse_ring(t) for t in ("F_2[x,y,z]", "F_3[x,y,z]", "F_5[x,y]")]
+    for i in range(max(4, ctx.count // 5)):
+        ring = rings[i % len(rings)]
+        M = random_graded_module(ring, rng)
+        degrees = row_degrees(M.columns, M.rank)
+        k = kpolynomial(M.columns, M.rank, ring, degrees, ctx.budget())
+        cx, pd = free_resolution(M, cap=ring.nvars, budget=ctx.budget())
+        if pd is None:
+            return FAIL, f"{M!r}: the resolution did not close within n steps"
+        if resolution_kpolynomial(cx, degrees) != k:
+            return FAIL, f"{M!r}: K {k} vs resolution"
     return PASS, ""
 
 

@@ -136,6 +136,16 @@ class TestExitCodes:
         assert out == "" and err.startswith("input error:")
         assert "not on V(I)" in err
 
+    def test_fedder_max_ideal_must_be_a_point(self, capsys):
+        for m in ("(x*y)", "(1)"):
+            code, out, err = run(capsys, "fedder", "--ring", "F_2[x,y]/(x*y)",
+                                 "--max-ideal", m)
+            assert code == 5, m
+            assert out == "" and "rational point" in err, m
+        code, out, _ = run(capsys, "fedder", "--ring", "F_2[x,y]/(x*y)",
+                           "--max-ideal", "(x, y)")
+        assert code == 0 and out.startswith("F-pure")
+
     def test_negative_emax_is_a_parse_error(self, capsys):
         for command in ("closure", "closed", "fseq-radical", "sdepth",
                         "reg-check", "cdepth-lb", "kdepth-profile",

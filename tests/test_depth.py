@@ -9,7 +9,12 @@ from charp import (Ideal, ModulePresentation, cdepth_lower_bound,
                    kdepth_truncation_profile, kgrade, koszul_complex,
                    koszul_homology_nonzero, parse_ring,
                    regular_sequence_check, sdepth)
-from charp.depth import linear_candidates
+from charp import depth as depth_mod
+from charp.budget import Budget
+from charp.depth import (_regular_by_hilbert, _regular_by_syzygies,
+                         is_regular_element, linear_candidates)
+from charp.modules import row_degrees
+from charp.verify import random_form, random_graded_module
 
 
 @pytest.fixture
@@ -108,6 +113,89 @@ class TestClassicalSearch:
         R = parse_ring("F_2[a,b,c,d,e,f,g,h,i,j]")
         forms, exhaustive = linear_candidates(R, trials=2000)
         assert len(forms) == 2 ** 10 - 1 and not exhaustive
+
+
+class TestRegularElementRoutes:
+    def _graded_cases(self):
+        rng = random.Random("routes")
+        cases = []
+        for ring_text in ("F_2[x,y,z]", "F_3[x,y,z]", "F_5[x,y]"):
+            ring = parse_ring(ring_text)
+            for _ in range(6):
+                M = random_graded_module(ring, rng)
+                cases.append((ring, M.rank, list(M.columns)))
+        Q = parse_ring("F_3[x,y,z]/(x*y - z^2)")
+        quotient = ModulePresentation.cyclic(Q, [Q.free().poly("x")])
+        cases.append((Q.free(), 1, quotient.lifted_columns()))
+        R = parse_ring("F_2[x,y]")
+        cases.append((R, 2, [(R.one(), R.zero()), (R.zero(), R.one())]))
+        return rng, cases
+
+    def test_hilbert_and_syzygy_routes_agree(self):
+        rng, cases = self._graded_cases()
+        assert {rank for _, rank, _ in cases} == {1, 2, 3}
+        answers = []
+        for ring, rank, cols in cases:
+            degrees = row_degrees(cols, rank)
+            assert degrees is not None
+            forms = [random_form(ring, rng, d) for d in (1, 1, 1, 2, 2, 2)]
+            forms += [ring.var(v) for v in ring.variables]
+            for f in forms:
+                want = _regular_by_syzygies(f, cols, rank, ring, Budget())
+                got = _regular_by_hilbert(f, cols, rank, ring, degrees, Budget())
+                assert got == want, (cols, f)
+                answers.append(want)
+        assert True in answers and False in answers
+
+    def test_route_depends_on_the_input(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("wrong route")
+
+        R = parse_ring("F_2[x,y,z]")
+        x, y, z = R.gens()
+        monkeypatch.setattr(depth_mod, "_regular_by_hilbert", refuse)
+        # ungraded module, or a graded module with a non-form
+        assert is_regular_element(z, [(x + y * z,)], 1, R)
+        assert is_regular_element(x + y * z, [(x * y,)], 1, R)
+        assert not is_regular_element(x + x * y, [(x * y,)], 1, R)
+        monkeypatch.undo()
+        monkeypatch.setattr(depth_mod, "_regular_by_syzygies", refuse)
+        assert is_regular_element(z, [(x * y,)], 1, R)
+        assert not is_regular_element(x, [(x * y,)], 1, R)
+
+    def test_constants_are_never_regular(self, R2xy):
+        for f in (R2xy.zero(), R2xy.one()):
+            assert not is_regular_element(f, [(R2xy.poly("x"),)], 1, R2xy)
+            assert not is_regular_element(f, [(R2xy.poly("x + y^2"),)], 1, R2xy)
+
+
+class TestDimStop:
+    def test_cohen_macaulay_keeps_its_witness(self):
+        R = parse_ring("F_2[x,y,z,w]")
+        rep = classical_depth_search(
+            ModulePresentation.cyclic(R, [R.poly("x*y + z*w")]))
+        assert rep.bound == 3 and rep.exhaustive
+        assert tuple(str(f) for f in rep.witness) == ("w", "z", "x + y")
+
+    def test_dimension_zero_makes_no_regular_test(self, R2xy, monkeypatch):
+        calls = []
+        original = depth_mod.is_regular_element
+        monkeypatch.setattr(depth_mod, "is_regular_element",
+                            lambda *a: calls.append(a) or original(*a))
+        M = ModulePresentation.cyclic(R2xy, [R2xy.poly("x"), R2xy.poly("y")])
+        rep = classical_depth_search(M)
+        assert (rep.bound, rep.exhaustive, calls) == (0, True, [])
+
+    def test_sampled_pool_reports_a_sharp_bound(self):
+        # 3^6 linear forms exceed the exhaustive cap, so the pool is sampled;
+        # once x..v^2 and one form are cut out the quotient has dimension 0
+        R = parse_ring("F_3[x,y,z,w,v,u]")
+        M = ModulePresentation.cyclic(R, [R.poly(t) for t in
+                                          ("x", "y", "z", "w", "v^2")])
+        for rep in (classical_depth_search(M, trials=20),
+                    cdepth_lower_bound(M, e_max=1, trials=20)):
+            assert rep.bound == 1 and rep.exhaustive
+            assert str(rep.witness[0]) == "x + y + w + 2*v + u"
 
 
 class TestFrobeniusFunctor:

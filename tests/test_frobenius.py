@@ -8,6 +8,8 @@ power membership.
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charp import (FSequence, Ideal, fedder_f_pure, frobenius_closure,
                    frobenius_power, frobenius_preimage,
@@ -113,6 +115,20 @@ class TestFedder:
         m = Ideal(ring.free(), ["x - 1", "y"])
         assert fedder_f_pure(ring, m).is_f_pure
 
+    @pytest.mark.parametrize("gens", [["x*y"], ["1"], ["x"], ["x^2 + x + 1", "y"],
+                                      ["x^2", "y"]])
+    def test_non_point_maximal_ideal_rejected(self, gens):
+        # m must be (x - a, y - b): not a proper subideal, not the unit
+        # ideal, not a maximal ideal without an F_2-rational point
+        ring = parse_ring("F_2[x,y]/(x*y)")
+        with pytest.raises(ValueError, match="rational point"):
+            fedder_f_pure(ring, Ideal(ring.free(), gens))
+
+    def test_point_given_by_other_generators(self):
+        # (x + y, y) is the origin written with a redundant-looking basis
+        ring = parse_ring("F_2[x,y]/(x*y)")
+        assert fedder_f_pure(ring, Ideal(ring.free(), ["x + y", "y"])).is_f_pure
+
     def test_colon_value_for_hypersurface(self):
         # (I^[2] : I) = (f) for the p = 2 hypersurface, and f lies inside
         # the bracket of the maximal ideal, which is the failure route
@@ -187,3 +203,24 @@ class TestInvariants:
         J = Ideal(R2xy, ["x^2"])
         K = Ideal(R2xy, ["x^2", "y^2"])
         assert frobenius_preimage(K, 1).contains_ideal(frobenius_preimage(J, 1))
+
+
+def _ideal_strategy(ring):
+    mono = st.tuples(*[st.integers(0, 2)] * ring.nvars)
+    poly = st.dictionaries(mono, st.integers(1, ring.p - 1), min_size=1,
+                           max_size=3).map(ring.from_dict)
+    return st.lists(poly, min_size=1, max_size=3).map(
+        lambda gens: Ideal(ring, gens))
+
+
+PR2 = parse_ring("F_2[x,y]")
+PR3 = parse_ring("F_3[x,y]")
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.one_of(_ideal_strategy(PR2), _ideal_strategy(PR3)))
+def test_preimage_sandwich(J):
+    # f^{-1}(J)^[p] is inside J (definition), J inside f^{-1}(J) (j^p in J)
+    pre = frobenius_preimage(J, 1)
+    assert J.contains_ideal(frobenius_power(pre, 1))
+    assert pre.contains_ideal(J)

@@ -4,13 +4,20 @@ import json
 import random
 from pathlib import Path
 
-import pytest
+import itertools
 
-from charp import (Ideal, ModulePresentation, annihilator, free_resolution,
-                   is_graded, parse_ring, syzygy_module)
-from charp.modules import (apply_columns, in_module, module_groebner,
-                           vec_is_zero)
-from charp.ring import mono_divides
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from charp import (Budget, BudgetExceeded, Ideal, ModulePresentation,
+                   annihilator, free_resolution, is_graded, parse_ring,
+                   syzygy_module)
+from charp.modules import (apply_columns, hilbert_dimension, in_module,
+                           kpolynomial, module_groebner,
+                           monomial_kpolynomial, row_degrees, vec_is_zero)
+from charp.ring import mono_deg, mono_divides
+from charp.verify import random_graded_module, resolution_kpolynomial
 
 # Reduced bases and syzygies of seeded random inputs, as computed by the
 # earlier module engine that kept its own Buchberger loop.
@@ -200,8 +207,125 @@ class TestGrading:
                                                       ["y", "y^2"]]))
         assert not is_graded(M)
 
+    def test_row_degrees_are_returned(self, R2xy):
+        M = ModulePresentation(R2xy, 2, [(R2xy.poly("x"), R2xy.one())])
+        assert row_degrees(M.columns, 2) == [0, 1]
+        assert row_degrees([(R2xy.poly("x + x*y"),)], 1) is None
+        # rows no column reaches each start a component at degree 0
+        assert row_degrees([], 3) == [0, 0, 0]
+
     def test_quotient_rejected_for_resolutions(self):
         Q = parse_ring("F_2[x,y]/(x*y)")
         M = ModulePresentation.cyclic(Q, [Q.free().poly("x")])
         with pytest.raises(ValueError):
             free_resolution(M)
+
+
+# ---------------------------------------------------------------------------
+# Hilbert series
+
+
+def _series(k, n, top):
+    """The first top + 1 coefficients of k(t) / (1 - t)^n (k a polynomial
+    with exponents >= 0)."""
+    coeffs = [k.get(d, 0) for d in range(top + 1)]
+    for _ in range(n):
+        coeffs = list(itertools.accumulate(coeffs))
+    return coeffs
+
+
+class TestHilbertSeries:
+    def test_known_values(self, R2xy):
+        x, y = R2xy.gens()
+        # S/(x, y) = F_2, S/(x*y) has dimension 1, S^2 with rows 0 and 1
+        assert kpolynomial([(x,), (y,)], 1, R2xy, [0]) == {0: 1, 1: -2, 2: 1}
+        assert kpolynomial([(x * y,)], 1, R2xy, [0]) == {0: 1, 2: -1}
+        assert kpolynomial([], 2, R2xy, [0, 1]) == {0: 1, 1: 1}
+        assert hilbert_dimension({0: 1, 1: -2, 2: 1}, 2) == 0
+        assert hilbert_dimension({0: 1, 2: -1}, 2) == 1
+        assert hilbert_dimension({0: 1}, 2) == 2
+        assert kpolynomial([(R2xy.one(),)], 1, R2xy, [0]) == {}
+        assert hilbert_dimension({}, 2) == -1
+
+    def test_pivot_recursion_counts_standard_monomials(self):
+        # each coefficient of K(S/J) / (1 - t)^n is the number of monomials
+        # of that degree outside J, counted by brute force
+        rng = random.Random("bigatti")
+        for n in (2, 3, 4):
+            for _ in range(15):
+                gens = [tuple(rng.randrange(4) for _ in range(n))
+                        for _ in range(rng.randrange(1, 6))]
+                gens = [m for m in gens if any(m)]
+                k = monomial_kpolynomial(gens, Budget())
+                top = 8
+                count = [0] * (top + 1)
+                for m in itertools.product(range(top + 1), repeat=n):
+                    if (mono_deg(m) <= top
+                            and not any(mono_divides(g, m) for g in gens)):
+                        count[mono_deg(m)] += 1
+                assert _series(k, n, top) == count, gens
+
+    def test_pivot_steps_charge_the_budget(self):
+        gens = [(2, 1, 1), (1, 2, 1), (1, 1, 2), (3, 0, 1), (0, 3, 1)]
+        used = Budget()
+        monomial_kpolynomial(gens, used)
+        assert used.used > 0
+        with pytest.raises(BudgetExceeded):
+            monomial_kpolynomial(gens, Budget(used.used - 1))
+
+    def test_kpolynomial_equals_resolution_euler_characteristic(self):
+        # an independent route: the alternating sum of the twisted ranks
+        # of the minimal free resolution (the n - pd oracle's complex)
+        rng = random.Random("kpoly-euler")
+        rings = [parse_ring(t) for t in ("F_2[x,y,z]", "F_3[x,y,z]",
+                                         "F_5[x,y]")]
+        for i in range(30):
+            ring = rings[i % len(rings)]
+            M = random_graded_module(ring, rng)
+            degrees = row_degrees(M.columns, M.rank)
+            assert degrees is not None
+            cx, pd = free_resolution(M, cap=ring.nvars)
+            assert pd is not None
+            assert (resolution_kpolynomial(cx, degrees)
+                    == kpolynomial(M.columns, M.rank, ring, degrees)), M
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+HR2 = parse_ring("F_2[x,y,z]")
+HR3 = parse_ring("F_3[x,y]")
+
+
+def _column_strategy(ring, rank):
+    mono = st.tuples(*[st.integers(0, 2)] * ring.nvars)
+    entry = st.dictionaries(mono, st.integers(1, ring.p - 1),
+                            max_size=2).map(ring.from_dict)
+    col = st.tuples(*[entry] * rank).filter(lambda c: not vec_is_zero(c))
+    return st.lists(col, min_size=1, max_size=3)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.one_of(_column_strategy(HR2, 2).map(lambda c: (HR2, 2, c)),
+                 _column_strategy(HR3, 1).map(lambda c: (HR3, 1, c))))
+def test_syzygies_are_killed_by_the_matrix(case):
+    ring, rank, cols = case
+    for s in syzygy_module(cols, rank, ring):
+        assert vec_is_zero(apply_columns(cols, s, ring, rank))
+
+
+@settings(max_examples=10, deadline=None)
+@given(_column_strategy(HR2, 2))
+def test_free_resolutions_are_exact(cols):
+    M = ModulePresentation(HR2, 2, cols)
+    cx, pd = free_resolution(M, cap=3)
+    assert pd is not None and cx.composes_to_zero()
+    # each kernel lies in the next image, and the last map is injective
+    for i in range(1, cx.length + 1):
+        lower, rank = cx.diffs[i - 1], cx.rank(i - 1)
+        kernel = syzygy_module(lower, rank, HR2)
+        if i == cx.length:
+            assert all(vec_is_zero(k) for k in kernel)
+            continue
+        image = module_groebner(cx.diffs[i], cx.rank(i), HR2)
+        assert all(in_module(k, image, cx.rank(i), HR2) for k in kernel)
