@@ -1,9 +1,9 @@
 """Associated primes on the Noetherian side.
 
 Two exact paths cover the verification corpus: the full combinatorial
-Ass(S/I) for monomial ideals (every associated prime of a monomial ideal is
-generated by variables and witnessed by a monomial below the lcm of the
-generators), and a depth-zero test at a rational point for everything else.
+Ass(S/I) for monomial ideals (the supports of the irreducible components
+of I, each witnessed by a monomial certified by the exact colon), and a
+depth-zero test at a rational point for everything else.
 
 Unions along f-sequences additionally carry records tagged with the
 contraction-side interpretation: the weakly associated and strong Krull
@@ -18,12 +18,11 @@ with the extension side.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
-from .budget import Budget
+from .budget import Budget, InternalInvariantError
 from .groebner import Ideal
-from .ring import minimal_monomials, mono_divides
+from .ring import minimal_monomials
 
 KIND_ASS = "Ass"
 KIND_WEAK = "wAss"
@@ -56,65 +55,72 @@ def _sorted_vars(ring, indices):
     return tuple(ring.variables[i] for i in sorted(indices))
 
 
-def ass_monomial(I, budget=None):
-    """All of Ass(S/I) for a monomial ideal I, each prime with a witness
-    monomial b such that (I : b) is exactly that prime."""
-    budget = Budget.ensure(budget)
-    ring = I.ring.free()
-    gens = [g.transported(ring) for g in I.lifted_gens()]
-    if any(not g.is_monomial for g in gens):
-        raise ValueError("ass_monomial needs monomial generators")
-    minimal = minimal_monomials((g.lm() for g in gens), ring.order.key)
-    if not minimal:
-        # the zero ideal over a domain
-        return (PrimeIdealRecord((), witness=ring.one()),)
-    if all(e == 0 for e in minimal[0]):
-        return ()  # unit ideal: the zero module has no associated primes
-    n = ring.nvars
-    bounds = [max(m[i] for m in minimal) for i in range(n)]
-    found = {}
-    for exps in itertools.product(*(range(b + 1) for b in bounds)):
-        if any(mono_divides(m, exps) for m in minimal):
-            continue  # witness already in I
-        budget.charge()
-        keep = minimal_monomials((tuple(max(x - e, 0) for x, e in zip(m, exps))
-                                  for m in minimal), ring.order.key)
-        prime_vars = set()
-        is_prime = True
-        for m in keep:
-            support = [i for i, e in enumerate(m) if e]
-            if len(support) != 1 or m[support[0]] != 1:
-                is_prime = False
-                break
-            prime_vars.add(support[0])
-        if is_prime and keep:
-            key = _sorted_vars(ring, prime_vars)
-            if key not in found:
-                found[key] = ring.monomial(exps)
-    records = [PrimeIdealRecord(vs, witness=w) for vs, w in sorted(found.items(),
-               key=lambda kv: (len(kv[0]), kv[0]))]
-    return tuple(records)
-
-
-def minimal_primes_monomial(I, budget=None):
-    """Minimal primes of a monomial ideal by irreducible-component splitting:
-    choose one supporting variable from each minimal generator."""
+def _decompose(I, budget):
+    """The free ring, minimal generators and irreducible components of I."""
     ring = I.ring.free()
     gens = [g.transported(ring) for g in I.lifted_gens()]
     if any(not g.is_monomial for g in gens):
         raise ValueError("monomial generators required")
     minimal = minimal_monomials((g.lm() for g in gens), ring.order.key)
-    if not minimal:
-        return ((),)
-    covers = {frozenset()}
-    for m in minimal:
-        support = [i for i, e in enumerate(m) if e]
-        covers = {c | {i} for c in covers for i in support}
-    keep = []
-    for c in sorted(covers, key=lambda c: (len(c), sorted(c))):
-        if not any(k <= c for k in keep):
-            keep.append(c)
-    return tuple(_sorted_vars(ring, c) for c in keep)
+    return ring, minimal, _components(minimal, ring.nvars, budget)
+
+
+def _components(minimal, n, budget):
+    """The irredundant irreducible components of the monomial ideal with
+    these minimal generators, each an exponent tuple a standing for
+    (x_i^{a_i} : a_i > 0).  From the zero ideal, add one generator x^b at a
+    time: (x^b) is the meet of the (x_i^{b_i}) and the lattice is
+    distributive, so a component containing x^b stays and any other q
+    becomes the q + (x_i^{b_i}), i in supp b; only these can be redundant.
+    One budget step per (generator, component) pair."""
+    components = [(0,) * n]
+    for b in minimal:
+        kept, split = [], set()
+        for a in components:
+            budget.charge()
+            if any(0 < x <= y for x, y in zip(a, b)):
+                kept.append(a)
+            else:
+                split.update(a[:i] + (y,) + a[i + 1:]
+                             for i, y in enumerate(b) if y)
+        new = sorted(split)  # drop each new component containing another
+        components = kept + [a for a in new if not any(
+            c != a and all(0 < x <= y for x, y in zip(a, c) if y)
+            for c in kept + new)]
+    return components
+
+
+def ass_monomial(I, budget=None):
+    """All of Ass(S/I) for a monomial ideal I, each prime with a witness
+    monomial b such that (I : b) is exactly that prime.  For a component a
+    with support P, b is x^(a - 1) on P and the top generator exponent
+    elsewhere: components reaching outside P contain b, and by irredundancy
+    so does every other one but a, hence (I : b) = P."""
+    budget = Budget.ensure(budget)
+    ring, minimal, components = _decompose(I, budget)
+    top = [max((m[i] for m in minimal), default=0) for i in range(ring.nvars)]
+    found = {}
+    for a in sorted(components):
+        P = [i for i, x in enumerate(a) if x]
+        b = tuple(x - 1 if x else t for x, t in zip(a, top))
+        colon = minimal_monomials(tuple(max(x - y, 0) for x, y in zip(m, b))
+                                  for m in minimal)
+        if sorted(colon) != sorted(tuple(int(j == i) for j in range(len(a)))
+                                   for i in P):
+            raise InternalInvariantError(f"(I : {b}) = {colon}, not {P}")
+        found.setdefault(_sorted_vars(ring, P), ring.monomial(b))
+    return tuple(PrimeIdealRecord(vs, witness=w) for vs, w in
+                 sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0])))
+
+
+def minimal_primes_monomial(I, budget=None):
+    """Minimal primes of a monomial ideal: the minimal supports of its
+    irreducible components."""
+    ring, _, components = _decompose(I, Budget.ensure(budget))
+    supports = {frozenset(i for i, x in enumerate(a) if x) for a in components}
+    keep = [s for s in supports if not any(t < s for t in supports)]
+    return tuple(_sorted_vars(ring, s)
+                 for s in sorted(keep, key=lambda s: (len(s), sorted(s))))
 
 
 def maximal_in_ass(J, point, budget=None):

@@ -86,36 +86,13 @@ def koszul_complex(xs, ring):
                                  for i in range(1, n + 1)])
 
 
-def _tensor_identity(cols, r, ring):
-    """Tensor scalar Koszul columns with the identity of S^r: each column
-    over S^b becomes r columns over S^(b*r), coordinates grouped
-    (block, generator)."""
-    out = []
+def _kron(a, b, ring):
+    """The Kronecker product A (x) B of matrices given by columns: column
+    (j, l) has entry A[i][j] * B[k][l] in row (i, k).  Identity factors
+    carry the integer 1, which multiplies without a polynomial product."""
     zero = ring.zero()
-    if not cols:
-        return out
-    b = len(cols[0])
-    for col in cols:
-        for t in range(r):
-            vec = [zero] * (b * r)
-            for blockrow, entry in enumerate(col):
-                if entry:
-                    vec[blockrow * r + t] = entry
-            out.append(tuple(vec))
-    return out
-
-
-def _block_relations(rel_cols, blocks, r, ring):
-    """Relation columns copied into each of `blocks` block positions."""
-    out = []
-    zero = ring.zero()
-    for s in range(blocks):
-        for col in rel_cols:
-            vec = [zero] * (blocks * r)
-            for t in range(r):
-                vec[s * r + t] = col[t]
-            out.append(tuple(vec))
-    return out
+    return [tuple(x * y if x and y else zero for x in ca for y in cb)
+            for ca in a for cb in b]
 
 
 def koszul_homology_nonzero(xs, M, i, budget=None):
@@ -128,22 +105,25 @@ def koszul_homology_nonzero(xs, M, i, budget=None):
         return False
     r = M.rank
     rel = M.lifted_columns()
+    eye = diagonal_columns(1, r, free)
+
+    def relations(blocks):
+        return _kron(diagonal_columns(1, blocks, free), rel, free)
+
     if i == 0:
-        d1 = _tensor_identity(koszul_differential(xs, 1, free), r, free)
-        H0 = ModulePresentation(free, r,
-                                d1 + _block_relations(rel, 1, r, free))
+        d1 = _kron(koszul_differential(xs, 1, free), eye, free)
+        H0 = ModulePresentation(free, r, d1 + relations(1))
         return not H0.is_zero_module(budget)
     b_i = comb(n, i)
     b_low = comb(n, i - 1)
-    di = _tensor_identity(koszul_differential(xs, i, free), r, free)
-    kernel = module_colon(di, _block_relations(rel, b_low, r, free),
-                          b_low * r, free, budget)
+    di = _kron(koszul_differential(xs, i, free), eye, free)
+    kernel = module_colon(di, relations(b_low), b_low * r, free, budget)
     if not kernel:
         return False
     image = []
     if i < n:
-        image = _tensor_identity(koszul_differential(xs, i + 1, free), r, free)
-    span = image + _block_relations(rel, b_i, r, free)
+        image = _kron(koszul_differential(xs, i + 1, free), eye, free)
+    span = image + relations(b_i)
     gb = module_groebner(span, b_i * r, free, budget)
     return any(not in_module(k, gb, b_i * r, free, budget) for k in kernel)
 
@@ -376,14 +356,16 @@ def _greedy_search(M, e_max, seed, trials, max_degree, budget):
     rank = M.rank
     levels = [frobenius_functor(M, e).lifted_columns()
               for e in range(e_max + 1)]
+    pools = None
     witness = []
     exhaustive = True
     while True:
         if _dimension_zero(levels, rank, free, budget):
             return DepthSearchReport(len(witness), tuple(witness), True, seed)
-        pools = [linear_candidates(free, seed, trials)]
-        if max_degree >= 2:
-            pools.append(quadratic_candidates(free, seed, trials))
+        if pools is None:  # once per search, and only if a round needs them
+            pools = [linear_candidates(free, seed, trials)]
+            if max_degree >= 2:
+                pools.append(quadratic_candidates(free, seed, trials))
         found = None
         for forms, full in pools:
             if not full:

@@ -62,6 +62,18 @@ class TestCommands:
         sides = {r["side"] for r in data["result"]["records"]}
         assert sides == {"R", "R-infinity-via-phi"}
 
+    def test_ass_union_deep_bracket_levels(self, capsys):
+        # level 6 brackets by 64: the exponent box below the lcm has over
+        # three million points, the irreducible decomposition four components
+        code, out, _ = run(capsys, "ass-union", "--ring", "F_2[x,y,z]",
+                           "--ideal", "(x^2*y, y^3*z, x*z^2)", "--levels", "6",
+                           "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert [r["prime"] for r in data["result"]["records"]
+                if r["kind"] == "Ass"] == [["x", "y"], ["x", "z"], ["y", "z"],
+                                           ["x", "y", "z"]]
+
     def test_gamma_tower(self, capsys):
         code, out, _ = run(capsys, "gamma", "--ring", "F_2[x,y]",
                            "--roots", "(root(4,x), y)", "--levels", "2")

@@ -11,9 +11,9 @@ from charp import (Ideal, ModulePresentation, cdepth_lower_bound,
                    regular_sequence_check, sdepth)
 from charp import depth as depth_mod
 from charp.budget import Budget
-from charp.depth import (_regular_by_hilbert, _regular_by_syzygies,
+from charp.depth import (_kron, _regular_by_hilbert, _regular_by_syzygies,
                          is_regular_element, linear_candidates)
-from charp.modules import row_degrees
+from charp.modules import diagonal_columns, row_degrees
 from charp.verify import random_form, random_graded_module
 
 
@@ -28,6 +28,17 @@ class TestKoszulComplex:
     def test_differentials_compose_to_zero(self, ring_text):
         ring = parse_ring(ring_text)
         assert koszul_complex(list(ring.gens()), ring).composes_to_zero()
+
+    def test_kron_blocks(self, R2xy):
+        # A (x) I_2 and I_2 (x) R, columns (j, l) and rows (i, k) in order
+        x, y, zero = R2xy.poly("x"), R2xy.poly("y"), R2xy.zero()
+        eye = diagonal_columns(1, 2, R2xy)
+        assert _kron([(x, y)], eye, R2xy) == [(x, zero, y, zero),
+                                              (zero, x, zero, y)]
+        assert _kron([(x,), (y,)], eye, R2xy) == [(x, zero), (zero, x),
+                                                  (y, zero), (zero, y)]
+        assert _kron(eye, [(x, y)], R2xy) == [(x, y, zero, zero),
+                                              (zero, zero, x, y)]
 
     def test_free_module_acyclic(self, R2xy):
         M = ModulePresentation.free(R2xy)
@@ -107,6 +118,24 @@ class TestClassicalSearch:
         rep = classical_depth_search(M)
         assert rep.bound == 1
         assert rep.witness[0].degree() == 2
+
+    def test_pools_are_built_once_per_search(self, R2xyz, monkeypatch):
+        calls = []
+
+        def counted(name):
+            original = getattr(depth_mod, name)
+            return lambda *a: calls.append(name) or original(*a)
+
+        for name in ("linear_candidates", "quadratic_candidates"):
+            monkeypatch.setattr(depth_mod, name, counted(name))
+        # three rounds find x, y, z; the fourth stops at dimension 0
+        rep = cdepth_lower_bound(ModulePresentation.free(R2xyz), e_max=1)
+        assert rep.bound == 3
+        assert sorted(calls) == ["linear_candidates", "quadratic_candidates"]
+        # a search that stops in its first round needs no pool at all
+        calls.clear()
+        field = ModulePresentation.cyclic(R2xyz, list(R2xyz.gens()))
+        assert classical_depth_search(field).bound == 0 and calls == []
 
     def test_sampled_pool_larger_than_the_space_ends(self):
         # 2^10 - 1 nonzero linear forms cannot fill 2000 trials
