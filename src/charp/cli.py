@@ -7,10 +7,11 @@ byte-identical output.
 
 Exit codes: 0 success (unresolved states are reported, never hidden),
 2 parse error (bad syntax, unknown flags or option values such as a
-negative --emax), 3 budget exceeded (partial report), 4 internal invariant
-violation, 5 input error (the input parses but lies outside the command's
-domain, e.g. a module that vanishes at the origin or a Frobenius power
-whose exponents pass the overflow guard).
+negative --emax, --levels, --lift-cap or --count, or a --window or
+prime-check --levels below 1), 3 budget exceeded (partial report),
+4 internal invariant violation, 5 input error (the input parses but lies
+outside the command's domain, e.g. a module that vanishes at the origin or
+a Frobenius power whose exponents pass the overflow guard).
 """
 
 from __future__ import annotations
@@ -40,11 +41,19 @@ DEFAULTS = {"e_max": 4, "window": 2, "lift_cap": 6, "budget": 10 ** 6,
             "seed": 0}
 
 
-def _nonnegative_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(low):
+    """An argparse type: an integer >= low, else a parse error."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"   # argparse names the type when int() fails
+    return parse
+
+
+_nonnegative_int = _int_at_least(0)
+_positive_int = _int_at_least(1)
 
 
 def _basis_list(ideal, budget):
@@ -393,7 +402,8 @@ def _build_parser():
         p.add_argument("--family", choices=("bracket", "constant", "list"),
                        default="bracket")
         p.add_argument("--ideal", help="base ideal for bracket/constant families")
-        p.add_argument("--levels", type=int, default=DEFAULTS["e_max"])
+        p.add_argument("--levels", type=_nonnegative_int,
+                       default=DEFAULTS["e_max"])
         p.add_argument("--terms", help="explicit terms '(..);(..);..' for --family list")
         if name == "fseq-radical":
             p.add_argument("--emax", type=_nonnegative_int, default=8)
@@ -417,7 +427,8 @@ def _build_parser():
         if name in ("sdepth", "reg-check", "cdepth-lb", "kdepth-profile"):
             p.add_argument("--emax", type=_nonnegative_int, default=DEFAULTS["e_max"])
         if name == "sdepth":
-            p.add_argument("--window", type=int, default=DEFAULTS["window"])
+            p.add_argument("--window", type=_positive_int,
+                           default=DEFAULTS["window"])
         if name == "cdepth-lb":
             p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
         if name == "reg-check":
@@ -428,8 +439,9 @@ def _build_parser():
     p.add_argument("--ring", **ring_opt)
     p.add_argument("--roots", required=True,
                    help="root generators '(root(1,x), y)'")
-    p.add_argument("--levels", type=int, default=3)
-    p.add_argument("--lift-cap", type=int, default=DEFAULTS["lift_cap"])
+    p.add_argument("--levels", type=_nonnegative_int, default=3)
+    p.add_argument("--lift-cap", type=_nonnegative_int,
+                   default=DEFAULTS["lift_cap"])
 
     p = add("member-inf", help="membership in the extension-contraction of an ideal")
     p.add_argument("--ring", **ring_opt)
@@ -440,12 +452,12 @@ def _build_parser():
     p = add("prime-check", help="spectrum homeomorphism evidence for a prime")
     p.add_argument("--ring", **ring_opt)
     p.add_argument("--ideal", **ideal_opt)
-    p.add_argument("--levels", type=int, default=3)
+    p.add_argument("--levels", type=_positive_int, default=3)
 
     p = add("verify", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(set(SUITE_NAMES) | set(SUITE_ALIASES)))
     p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=_nonnegative_int, default=20)
     p.add_argument("--out", help="write the JSON report to this path")
     return parser
 

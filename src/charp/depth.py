@@ -10,9 +10,9 @@ variables, computed homology group by homology group:
                          (tensored with the presentation) escapes the span
                          of the (i+1)-st image and the relation block.
 
-Kernels are module colons of d_i into the relation block (the heads of
-the syzygies of [d_i | relations]), images are module membership
-questions, so everything reduces to the module engine.  In the
+Kernels are module colons of d_i into the relation block (one POT basis
+in which only the columns of d_i carry tags), images are module
+membership questions, so everything reduces to the module engine.  In the
 graded free-ring case the answer is cross-checked against the projective
 dimension through the depth + pd = n identity.
 
@@ -157,6 +157,9 @@ def kgrade(xs, M, budget=None):
 # ---------------------------------------------------------------------------
 # depth at the origin
 
+_VANISHES = "module vanishes at the origin; depth undefined"
+
+
 def depth_at_origin(M, cross_check=True, budget=None):
     """Koszul depth of the variables on M; in the graded free-ring case the
     value is cross-checked against n - pd(M)."""
@@ -170,7 +173,7 @@ def depth_at_origin(M, cross_check=True, budget=None):
             depth = n - h
             break
     if depth is None:
-        raise ValueError("module vanishes at the origin; depth undefined")
+        raise ValueError(_VANISHES)
     if (cross_check and not M.ring.is_quotient
             and row_degrees(M.lifted_columns(), M.rank) is not None):
         _, pd = free_resolution(M, cap=n, budget=budget)
@@ -332,12 +335,17 @@ class DepthSearchReport:
 
 def _dimension_zero(levels, rank, ring, budget):
     """Some graded level has Krull dimension <= 0 (read off its Hilbert
-    series), so no form is regular on it."""
+    series), so no form is regular on it.  A level of dimension -1 is the
+    zero module, which has no depth."""
     for cols in levels:
         degrees = row_degrees(cols, rank)
-        if degrees is not None and hilbert_dimension(
-                kpolynomial(cols, rank, ring, degrees, budget),
-                ring.nvars) <= 0:
+        if degrees is None:
+            continue
+        dim = hilbert_dimension(kpolynomial(cols, rank, ring, degrees, budget),
+                                ring.nvars)
+        if dim < 0:
+            raise ValueError(_VANISHES)
+        if dim == 0:
             return True
     return False
 
@@ -356,6 +364,9 @@ def _greedy_search(M, e_max, seed, trials, max_degree, budget):
     rank = M.rank
     levels = [frobenius_functor(M, e).lifted_columns()
               for e in range(e_max + 1)]
+    # graded M = 0 shows as dimension -1 in the dim stop
+    if row_degrees(levels[0], rank) is None and M.is_zero_module(budget):
+        raise ValueError(_VANISHES)
     pools = None
     witness = []
     exhaustive = True

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .budget import Budget, InternalInvariantError, Unresolved
-from .groebner import Ideal, buchberger, colon_ideal, radical_membership
+from .groebner import Ideal, colon_ideal, eliminate, radical_membership
 from .ring import Block, Polynomial, Ring, minimal_monomials
 
 
@@ -45,12 +45,9 @@ def _preimage_step(gens, free, budget):
     lifted = [g.transported(ext) for g in gens]
     for v, t in zip(free.variables, tags):
         lifted.append(ext.var(t) - ext.var(v) ** p)
-    gb = buchberger(lifted, ext, budget)
-    block = set(range(n))
     rename = dict(zip(tags, free.variables))
-    kept = [g.transported(free, rename) for g in gb
-            if not (g.support_vars() & block)]
-    return kept
+    return [g.transported(free, rename)
+            for g in eliminate(Ideal(ext, lifted), n, budget).gens]
 
 
 def frobenius_preimage(J, e, budget=None):
@@ -240,6 +237,8 @@ def fseq_radical_stabilize(seq, e_max=8, budget=None):
     ideal is the common radical of the whole sequence, and the mutual
     radical-membership check enforces exactly that."""
     budget = Budget.ensure(budget)
+    if not seq.terms:
+        raise ValueError("an f-sequence prefix needs at least one term")
     current = seq.terms[0]
     for _ in range(e_max):
         nxt = frobenius_preimage(current, 1, budget)

@@ -7,7 +7,7 @@ through it too, with module terms encoded under the POT order (see
 modules.py).  Pair selection uses the sugar strategy with both classical
 pair-skipping criteria, and ties are broken by (sugar, lcm key, indices),
 so repeated runs produce bit-identical reduced bases.  Ideal quotients
-are syzygy colons at rank 1 (modules.span_colon), so _nf_dict is the
+are module colons at rank 1 (modules.span_colon), so _nf_dict is the
 only division loop.
 
 Division is heap division (Monagan & Pearce, JSC 46, 2011): the pending
@@ -359,7 +359,7 @@ def intersect(I, J, budget=None):
 
 def colon_ideal(I, J, budget=None):
     """(I : J) = {r | r*J inside I}: the ideal of r with r*g in the span of
-    the lifted generators of I for every generator g of J, each a syzygy
+    the lifted generators of I for every generator g of J, each a module
     colon at rank 1 (modules.span_colon)."""
     from .modules import span_colon
 

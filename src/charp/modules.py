@@ -7,15 +7,15 @@ order), and module bases and normal forms are computed by the ideal engine
 in groebner.py.  The two position slots make plain componentwise
 divisibility, lcm and shifts correct for module terms: a term divides
 another only in the same position, and since r - i >= 1 the product
-criterion, which applies only to ideals, never fires.  Syzygies come from
-the standard elimination embedding: stack an identity block under the
-matrix, compute a module basis where the original positions dominate, and
-keep the elements supported entirely on the tag block.
+criterion, which applies only to ideals, never fires.
 
-Every colon is the head of one syzygy module: module_colon returns the
-w with sum w_k * maps[k] in the span of cols as the first len(maps)
-entries of the syzygies of [maps | cols].  Ideal quotients, annihilators,
-the nonzerodivisor test and Koszul cycles are all such colons.
+Every kernel is one module colon (Greuel & Pfister, A Singular
+Introduction to Commutative Algebra, 2.8): the w with sum w_k * maps[k]
+in the span of cols are the tails of the basis elements of
+<(maps[k]; e_k), (c; 0)> in S^(rank + len(maps)) that vanish on the first
+rank positions, which POT ranks first.  Only the maps are tagged.  A
+syzygy module is the colon into the zero module; ideal quotients,
+annihilators, the nonzerodivisor test and Koszul cycles are colons too.
 
 A ModulePresentation is a cokernel: M = S^rank / (column span of relations).
 Quotient rings are handled by appending one relation column per quotient
@@ -106,29 +106,28 @@ def in_module(vec, gb, rank, ring, budget=None):
 
 
 # ---------------------------------------------------------------------------
-# syzygies
+# kernels
+
+def module_colon(maps, cols, rank, ring, budget=None):
+    """Generators of {w : sum w_k * maps[k] in the span of cols}: the tails
+    of the basis elements of <(maps[k]; e_k), (c; 0)> in
+    S^(rank + len(maps)) whose first rank entries vanish."""
+    maps = list(maps)
+    zero, one = ring.zero(), ring.one()
+    tagged = []
+    for k, col in enumerate(maps + list(cols)):
+        if len(col) != rank:
+            raise ValueError("column length does not match ambient rank")
+        tagged.append(tuple(col) + tuple(one if t == k else zero
+                                         for t in range(len(maps))))
+    gb = module_groebner(tagged, rank + len(maps), ring, budget)
+    return tuple(v[rank:] for v in gb if vec_is_zero(v[:rank]))
+
 
 def syzygy_module(columns, rank, ring, budget=None):
     """Generators of {v : sum v_j * columns[j] = 0} as vectors of length
-    len(columns), via the elimination embedding into S^(rank + #columns)."""
-    columns = list(columns)
-    c = len(columns)
-    if c == 0:
-        return ()
-    stacked = []
-    zero = ring.zero()
-    one = ring.one()
-    for j, col in enumerate(columns):
-        if len(col) != rank:
-            raise ValueError("column length does not match ambient rank")
-        tag = tuple(one if t == j else zero for t in range(c))
-        stacked.append(tuple(col) + tag)
-    gb = module_groebner(stacked, rank + c, ring, budget)
-    syz = []
-    for v in gb:
-        if all(entry.is_zero for entry in v[:rank]):
-            syz.append(v[rank:])
-    return tuple(syz)
+    len(columns): the colon of the columns into the zero module."""
+    return module_colon(columns, (), rank, ring, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -464,16 +463,6 @@ def projective_dimension(pres, cap=8, budget=None):
 
 # ---------------------------------------------------------------------------
 # colons
-
-def module_colon(maps, cols, rank, ring, budget=None):
-    """Generators of {w : sum w_k * maps[k] in the span of cols}: the
-    syzygies of [maps | cols] cut to their first len(maps) entries (zero
-    heads dropped)."""
-    maps = list(maps)
-    heads = (s[:len(maps)]
-             for s in syzygy_module(maps + list(cols), rank, ring, budget))
-    return [w for w in heads if not vec_is_zero(w)]
-
 
 def span_colon(vectors, cols, rank, ring, budget=None):
     """The ideal {r : r*v in the span of cols for every v in vectors}, one

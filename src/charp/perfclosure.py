@@ -227,40 +227,13 @@ class PrimeCheckReport:
         return all(rec.passed for rec in self.levels)
 
 
-def _certify_prime(P):
-    """Accept primes generated by distinct variables or by independent
-    linear forms (including the zero ideal); anything else is rejected as
-    non-certifiable."""
-    ring = P.ring.free()
-    gens = [g.transported(ring) for g in P.gens]
-    if not gens:
-        return True
-    rows = []
-    for g in gens:
-        if g.degree() != 1 or not g.is_homogeneous:
-            return False
-        row = [0] * ring.nvars
-        for m, c in g.terms:
-            row[[i for i, e in enumerate(m) if e][0]] = c
-        rows.append(row)
-    # Gaussian rank over F_p
-    p = ring.p
-    rank = 0
-    cols = list(range(ring.nvars))
-    rows = [r[:] for r in rows]
-    for c in cols:
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] % p), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][c], -1, p)
-        rows[rank] = [(v * inv) % p for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank == len(gens)
+def _certify_prime(P, budget):
+    """Accept primes generated by independent linear forms (distinct
+    variables and the zero ideal included): every generator is a linear
+    form and the reduced basis, their echelon form, keeps one element per
+    generator.  Anything else is rejected as non-certifiable."""
+    return (all(g.degree() == 1 and g.is_homogeneous for g in P.gens)
+            and len(P.groebner_basis(budget)) == len(P.gens))
 
 
 def _monomial_primes(ring):
@@ -280,9 +253,9 @@ def prime_extension_check(P, q_levels=3, budget=None):
     preserved both ways."""
     budget = Budget.ensure(budget)
     ring = P.ring.free()
-    if not _certify_prime(P):
-        raise ValueError("prime_extension_check needs a monomial or linear prime")
     base = Ideal(ring, [g.transported(ring) for g in P.gens])
+    if not _certify_prime(base, budget):
+        raise ValueError("prime_extension_check needs a monomial or linear prime")
     samples = _monomial_primes(ring)
     base_rel = [(base.contains_ideal(Q, budget), Q.contains_ideal(base, budget))
                 for Q in samples]

@@ -166,6 +166,52 @@ class TestExitCodes:
             assert code == 2, command
             assert "--emax: must be >= 0" in err, command
 
+    def test_negative_levels_is_a_parse_error(self, capsys):
+        for command in ("fseq-verify", "fseq-radical", "ass-union"):
+            code, out, err = run(capsys, command, "--ring", "F_2[x,y]",
+                                 "--ideal", "(x)", "--levels", "-1")
+            assert code == 2 and out == "", command
+            assert "--levels: must be >= 0" in err, command
+        code, _, err = run(capsys, "gamma", "--ring", "F_2[x,y]",
+                           "--roots", "(x)", "--levels", "-1")
+        assert code == 2 and "--levels: must be >= 0" in err
+
+    def test_negative_lift_cap_is_a_parse_error(self, capsys):
+        code, _, err = run(capsys, "gamma", "--ring", "F_2[x,y]",
+                           "--roots", "(x)", "--lift-cap", "-1")
+        assert code == 2 and "--lift-cap: must be >= 0" in err
+
+    def test_prime_check_needs_a_level(self, capsys):
+        for levels in ("0", "-1"):
+            code, out, err = run(capsys, "prime-check", "--ring", "F_2[x,y]",
+                                 "--ideal", "(x)", "--levels", levels)
+            assert code == 2 and out == "", levels
+            assert "--levels: must be >= 1" in err, levels
+
+    def test_window_below_one_is_a_parse_error(self, capsys):
+        for window in ("0", "-3"):
+            code, _, err = run(capsys, "sdepth", "--ring", "F_2[x,y]",
+                               "--ideal", "(x)", "--window", window)
+            assert code == 2, window
+            assert "--window: must be >= 1" in err, window
+
+    def test_negative_count_is_a_parse_error(self, capsys):
+        code, out, err = run(capsys, "verify", "oracles", "--count", "-1")
+        assert code == 2 and out == ""
+        assert "--count: must be >= 0" in err
+
+    def test_non_integer_option_is_a_parse_error(self, capsys):
+        code, _, err = run(capsys, "sdepth", "--ring", "F_2[x,y]",
+                           "--ideal", "(x)", "--window", "two")
+        assert code == 2 and "invalid int value: 'two'" in err
+
+    def test_zero_module_search_is_an_input_error(self, capsys):
+        for ring in ("F_2[x,y]", "F_2[x,y]/(x + 1)"):
+            code, out, err = run(capsys, "cdepth-lb", "--ring", ring,
+                                 "--ideal", "(1)")
+            assert code == 5 and out == "", ring
+            assert "input error: module vanishes at the origin" in err, ring
+
     def test_unknown_order_is_a_parse_error(self, capsys):
         code, _, err = run(capsys, "gb", "--ring", "F_2[x]", "--ideal", "(x)",
                            "--order", "revlex")

@@ -215,6 +215,26 @@ class TestDimStop:
         rep = classical_depth_search(M)
         assert (rep.bound, rep.exhaustive, calls) == (0, True, [])
 
+    @pytest.mark.parametrize("gens", [["1"], ["x + 1", "x"],
+                                      ["x^2 + y", "y + 1", "x"]])
+    def test_zero_module_rejected(self, R2xy, gens):
+        # graded (1) is caught by the dim stop; the others are ungraded
+        M = ModulePresentation.cyclic(R2xy, [R2xy.poly(g) for g in gens])
+        for search in (classical_depth_search,
+                       lambda M: cdepth_lower_bound(M, e_max=2)):
+            with pytest.raises(ValueError, match="module vanishes"):
+                search(M)
+
+    def test_zero_module_read_off_the_dim_stop(self, R2xy, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ModulePresentation, "is_zero_module",
+                            lambda *a: calls.append(a))
+        M = ModulePresentation(R2xy, 2, [(R2xy.one(), R2xy.zero()),
+                                         (R2xy.poly("x"), R2xy.one())])
+        with pytest.raises(ValueError, match="module vanishes"):
+            cdepth_lower_bound(M, e_max=1)
+        assert calls == []
+
     def test_sampled_pool_reports_a_sharp_bound(self):
         # 3^6 linear forms exceed the exhaustive cap, so the pool is sampled;
         # once x..v^2 and one form are cut out the quotient has dimension 0

@@ -175,6 +175,10 @@ class TestFSequences:
         seq = FSequence.constant_chain(Ideal(R2xy, ["x"]), 3)
         assert fseq_radical_stabilize(seq).equal(Ideal(R2xy, ["x"]))
 
+    def test_empty_prefix_is_rejected(self, R2xy):
+        with pytest.raises(ValueError, match="at least one term"):
+            fseq_radical_stabilize(FSequence.explicit(R2xy, []))
+
     def test_radical_agreement_is_checked(self, R2xy):
         # radicals agree along the chain, generator by generator
         seq = FSequence.bracket_chain(Ideal(R2xy, ["x^2", "y"]), 3)

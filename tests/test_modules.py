@@ -5,6 +5,7 @@ import random
 from pathlib import Path
 
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +14,14 @@ from hypothesis import strategies as st
 from charp import (Budget, BudgetExceeded, Ideal, ModulePresentation,
                    annihilator, free_resolution, is_graded, parse_ring,
                    syzygy_module)
-from charp.modules import (apply_columns, hilbert_dimension, in_module,
-                           kpolynomial, module_groebner,
-                           monomial_kpolynomial, row_degrees, vec_is_zero)
+from charp.depth import _kron, koszul_differential
+from charp.modules import (apply_columns, diagonal_columns, hilbert_dimension,
+                           in_module, kpolynomial, module_colon,
+                           module_groebner, monomial_kpolynomial, row_degrees,
+                           vec_is_zero)
 from charp.ring import mono_deg, mono_divides
-from charp.verify import random_graded_module, resolution_kpolynomial
+from charp.verify import (random_form, random_graded_module,
+                          resolution_kpolynomial)
 
 # Reduced bases and syzygies of seeded random inputs, as computed by the
 # earlier module engine that kept its own Buchberger loop.
@@ -112,6 +116,86 @@ class TestModuleEngine:
             assert [[str(e) for e in v] for v in gb] == case["basis"]
             syz = syzygy_module(cols, rank, ring)
             assert [[str(e) for e in v] for v in syz] == case["syzygies"]
+
+
+def _colon_by_tagging_every_column(maps, cols, rank, ring):
+    """The independent route: tag every column of [maps | cols], take the
+    syzygy module in S^(rank + #maps + #cols) and keep the nonzero heads,
+    the first len(maps) entries."""
+    both = list(maps) + list(cols)
+    zero, one = ring.zero(), ring.one()
+    stacked = [tuple(col) + tuple(one if t == j else zero
+                                  for t in range(len(both)))
+               for j, col in enumerate(both)]
+    heads = [v[rank:rank + len(maps)]
+             for v in module_groebner(stacked, rank + len(both), ring)
+             if vec_is_zero(v[:rank])]
+    return [w for w in heads if not vec_is_zero(w)]
+
+
+class TestModuleColon:
+    def _agree(self, maps, cols, rank, ring):
+        colon = module_colon(maps, cols, rank, ring)
+        m = len(maps)
+        assert module_groebner(colon, m, ring) == module_groebner(
+            _colon_by_tagging_every_column(maps, cols, rank, ring), m, ring)
+        # and each generator is in the colon by definition
+        span = module_groebner(cols, rank, ring)
+        for w in colon:
+            assert in_module(apply_columns(maps, w, ring, rank), span, rank,
+                             ring)
+        return colon
+
+    def test_random_graded_modules(self):
+        rng = random.Random("colon-oracle")
+        rings = [parse_ring(t) for t in ("F_2[x,y,z]", "F_3[x,y]",
+                                         "F_5[x,y]")]
+        for i in range(24):
+            ring = rings[i % len(rings)]
+            M = random_graded_module(ring, rng)
+            f = random_form(ring, rng, rng.randrange(1, 3))
+            maps = diagonal_columns(f, M.rank, ring)
+            if rng.random() < 0.5:
+                maps = maps + [tuple(random_form(ring, rng, 1)
+                                     for _ in range(M.rank))]
+            self._agree(maps, M.columns, M.rank, ring)
+
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_koszul_blocks(self, i):
+        # the Koszul kernels of depth.koszul_homology_nonzero on R/J
+        ring = parse_ring("F_2[x,y,z]")
+        xs = list(ring.gens())
+        rel = [(ring.poly("x*y"),), (ring.poly("x*z"),), (ring.poly("y^2"),)]
+        low = comb(3, i - 1)
+        di = koszul_differential(xs, i, ring)
+        self._agree(di, _kron(diagonal_columns(1, low, ring), rel, ring),
+                    low, ring)
+
+    def test_no_relation_columns_is_the_syzygy_module(self, R2xyz):
+        maps = [(R2xyz.poly(v),) for v in "xyz"]
+        colon = self._agree(maps, (), 1, R2xyz)
+        assert module_groebner(colon, 3, R2xyz) == module_groebner(
+            syzygy_module(maps, 1, R2xyz), 3, R2xyz)
+        assert len(colon) == 3
+
+    def test_no_maps(self, R2xy):
+        assert module_colon((), [(R2xy.poly("x"),)], 1, R2xy) == ()
+        assert syzygy_module((), 1, R2xy) == ()
+
+    def test_quotient_ring_columns(self):
+        Q = parse_ring("F_3[x,y]/(x*y, y^3)")
+        free = Q.free()
+        M = ModulePresentation(Q, 2, [(free.poly("x^2"), free.poly("y"))])
+        units = diagonal_columns(free.one(), 2, free)
+        for unit in units:
+            self._agree([unit], M.lifted_columns(), 2, free)
+
+    def test_wrong_column_length(self, R2xy):
+        x = R2xy.poly("x")
+        with pytest.raises(ValueError, match="column length"):
+            module_colon([(x, x)], [(x,)], 1, R2xy)
+        with pytest.raises(ValueError, match="column length"):
+            module_colon([(x,)], [(x, x)], 1, R2xy)
 
 
 class TestFreeResolution:

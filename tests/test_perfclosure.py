@@ -2,9 +2,10 @@
 
 import pytest
 
-from charp import (FSequence, Ideal, PerfectClosureIdeal, RootElement,
-                   Unresolved, extended_ideal_membership, frobenius_closure,
-                   fseq_to_perfect_ideal, gamma_fseq, parse_ring, parse_root,
+from charp import (Budget, FSequence, Ideal, PerfectClosureIdeal,
+                   RootElement, Unresolved, extended_ideal_membership,
+                   frobenius_closure, fseq_to_perfect_ideal, gamma_fseq,
+                   parse_ring, parse_root,
                    prime_extension_check, principal_variable_obstruction,
                    root_equal, zero_closure_cyclic)
 
@@ -121,6 +122,19 @@ class TestPrimeCheck:
     def test_non_prime_rejected(self, R2xy):
         with pytest.raises(ValueError):
             prime_extension_check(Ideal(R2xy, ["x^2"]), 2)
+
+    @pytest.mark.parametrize("gens", [["x + y", "2*x + 2*y"], ["x + 1"]])
+    def test_dependent_or_affine_forms_rejected(self, R3xy, gens):
+        # dependent linear forms are not independent generators, and x + 1
+        # is not a form: neither is certified
+        with pytest.raises(ValueError):
+            prime_extension_check(Ideal(R3xy, gens), 2)
+
+    def test_certification_charges_the_budget(self, R3xy):
+        P = Ideal(R3xy, ["x + y", "x + 2*y"])
+        used = Budget()
+        assert prime_extension_check(P, 1, used).passed
+        assert used.used > 0
 
 
 class TestObstruction:
