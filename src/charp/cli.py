@@ -355,7 +355,8 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="structured output with stable field names")
-    common.add_argument("--budget", type=int, default=DEFAULTS["budget"],
+    common.add_argument("--budget", type=_positive_int,
+                        default=DEFAULTS["budget"],
                         help="reduction-step budget")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -381,7 +382,7 @@ def _build_parser():
         p = add(name, help=helptext)
         p.add_argument("--ring", **ring_opt)
         p.add_argument("--ideal", **ideal_opt)
-        p.add_argument("--e", type=int, default=1)
+        p.add_argument("--e", type=_nonnegative_int, default=1)
 
     for name, helptext in (("closure", "Frobenius closure"),
                            ("closed", "is the ideal Frobenius closed?")):

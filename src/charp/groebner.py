@@ -10,74 +10,168 @@ so repeated runs produce bit-identical reduced bases.  Ideal quotients
 are module colons at rank 1 (modules.span_colon), so _nf_dict is the
 only division loop.
 
+Packed terms (Monagan & Pearce, CASC 2007).  Inside the engine a monomial
+is one Python int.  Its low bits hold the exponents E, one field of `bits`
+bits plus a guard bit per exponent slot; above them sits the order key K,
+one field per row of the order's 0/1 `weight_rows`, most significant row
+first.  Both parts are linear in the exponents, so the product of two
+terms is one int addition and the quotient one subtraction, and since K
+decides every comparison between distinct monomials, plain int comparison
+is the monomial order.  b divides m exactly when (m - b) has no guard bit
+set: a field of m below the one of b borrows, and its guard bit shows it.
+Module positions are the two POT slots of E, so a reducer's position is
+`E & slotmask`.  Polynomials are packed once at the boundary (the input
+generators of `buchberger`, the arguments of `normal_form_poly`) and the
+reduced basis or remainder is unpacked on the way out; the basis, the
+S-polynomials, the reducer table, the remainders and the pair keys stay
+packed in between.
+
+Field width.  `bits` is the bit length of the largest input exponent plus
+_FIELD_MARGIN, so an exponent may grow 2^_FIELD_MARGIN-fold past the input
+before it fills its field.  The K fields are bit_length(n) bits wider, so
+any term whose E guard bits are clear has a K that fits too.  Every term
+the engine forms is checked: a guard bit set on a new product raises
+ExponentOverflow (an input error, exit 5 at the CLI) rather than ever
+producing a basis from overlapping fields.  There is no repacking.
+
 Division is heap division (Monagan & Pearce, JSC 46, 2011): the pending
-terms sit in a min-heap under the order's `heap_key`, a flat tuple built
-once per monomial when it first enters the work dict.  The largest term
-is popped, terms whose coefficients cancelled are skipped on the way out,
-and a product term is pushed only when it is new, so a division step
-costs O(log |work|) comparisons instead of re-keying every pending term.
-Terms are still reduced largest first with the same reducer, so remainders
-and step counts are those of the plain max-scan division.
+terms sit in a heap of plain ints.  The largest term is popped, terms
+whose coefficients cancelled are skipped on the way out, and a product
+term is pushed only when it is new, so a division step costs O(log |work|)
+int comparisons.  Terms are reduced largest first with the first dividing
+reducer, so remainders and step counts are those of the plain max-scan
+division on exponent tuples.
 """
 
 from __future__ import annotations
 
 import heapq
+from functools import lru_cache
+from operator import mul
 
 from .budget import Budget
-from .ring import (Block, Polynomial, Ring, mono_deg, mono_div, mono_divides,
-                   mono_gcd, mono_lcm, mono_mul)
+from .ring import (Block, ExponentOverflow, Polynomial, Ring, mono_deg,
+                   mono_lcm)
+
+# bits an exponent may grow past the largest input exponent (see above)
+_FIELD_MARGIN = 16
+
+
+# ---------------------------------------------------------------------------
+# packed terms
+
+class _Packing:
+    """The packed-int encoding of one order on exponent tuples of length n
+    with `bits`-bit exponent fields."""
+
+    __slots__ = ("cols", "shifts", "mask", "guard", "slotmask")
+
+    def __init__(self, order, n, bits):
+        width = bits + 1                      # the exponent and its guard bit
+        rows = order.weight_rows(n)
+        kwidth = bits + n.bit_length()        # holds a sum of n exponents
+        top = n * width + len(rows) * kwidth
+        # cols[i] is the packed form of the i-th unit vector, so a tuple
+        # packs as the sum of exps[i] * cols[i]
+        self.cols = tuple(
+            (1 << i * width)
+            + sum(1 << top - (r + 1) * kwidth for r, row in enumerate(rows)
+                  if row[i])
+            for i in range(n))
+        self.shifts = tuple(range(0, n * width, width))
+        self.mask = (1 << bits) - 1
+        self.guard = sum(1 << s + bits for s in self.shifts)
+        self.slotmask = sum(self.mask << s for s in self.shifts[:order.slots])
+
+    def encode(self, exps):
+        return sum(map(mul, exps, self.cols))
+
+    def decode(self, m):
+        mask = self.mask
+        return tuple(m >> s & mask for s in self.shifts)
+
+    def check(self, m):
+        """m itself, or ExponentOverflow when an exponent filled its field."""
+        if m & self.guard:
+            raise ExponentOverflow(
+                f"exponent past the {self.mask.bit_length()}-bit field of the"
+                " Groebner engine")
+        return m
+
+
+@lru_cache(maxsize=256)
+def _packing(order, n, bits):
+    return _Packing(order, n, bits)
+
+
+def _packing_for(polys, ring):
+    top = max((max(m) for g in polys for m, _ in g.terms), default=0)
+    return _packing(ring.order, ring.nvars, top.bit_length() + _FIELD_MARGIN)
+
+
+def _pack(g, pk):
+    """The terms of g as packed (m, c) pairs, largest first."""
+    encode = pk.encode
+    return tuple((encode(m), c) for m, c in g.terms)
+
+
+def _unpack(terms, ring, pk):
+    decode = pk.decode
+    return Polynomial(ring, tuple((decode(m), c) for m, c in terms))
 
 
 # ---------------------------------------------------------------------------
 # division
 
-def _reducer_table(basis, slots):
-    """Group (lm, terms) reducers by the position slots of their leading
-    monomials (a single group, keyed (), for ideals)."""
+def _reducer_table(basis, pk):
+    """Group monic packed reducers (term tuples, largest first) by the
+    position slots of their leading monomials (one group, keyed 0, for
+    ideals), each as (lm, tail terms)."""
     table = {}
-    for lm, terms in basis:
-        table.setdefault(lm[:slots], []).append((lm, terms))
+    for terms in basis:
+        lm = terms[0][0]
+        table.setdefault(lm & pk.slotmask, []).append((lm, terms[1:]))
     return table
 
 
-def _nf_dict(work, reducers, ring, budget):
-    """Full normal form of the term dict `work` against a _reducer_table of
-    monic reducers.  Returns the remainder dict, its terms in descending
+def _nf_dict(work, reducers, pk, p, budget):
+    """Full normal form of the packed term dict `work` against a
+    _reducer_table.  Returns the remainder dict, its terms in descending
     order.
 
-    Heap division: every pending monomial enters a heap once, under its
-    heap key, and keeps its entry while its coefficient changes in `work`;
-    a popped monomial whose coefficient cancelled to zero is skipped."""
-    p = ring.p
-    hkey = ring.order.heap_key
-    slots = ring.order.slots
-    heap = [(hkey(m), m) for m in work]
+    Heap division: every pending monomial enters a heap once, negated so
+    that the min-heap pops the largest, and keeps its entry while its
+    coefficient changes in `work`; a popped monomial whose coefficient
+    cancelled to zero is skipped."""
+    guard, slotmask = pk.guard, pk.slotmask
+    get, push, pop = work.get, heapq.heappush, heapq.heappop
+    heap = [-m for m in work]
     heapq.heapify(heap)
     rem = {}
     while heap:
-        m = heapq.heappop(heap)[1]
+        m = -pop(heap)
         c = work.pop(m)
         if not c:
             continue
-        for blm, bterms in reducers.get(m[:slots], ()):
-            if mono_divides(blm, m):
+        for blm, btail in reducers.get(m & slotmask, ()):
+            shift = m - blm
+            if not shift & guard:
                 break
         else:
             rem[m] = c
             continue
         budget.charge()
-        shift = mono_div(m, blm)
-        for bm, bc in bterms:
-            if bm == blm:
-                continue
-            mm = mono_mul(bm, shift)
-            old = work.get(mm)
+        c = p - c       # m - c * shift * b: add (p - c) * bc per tail term
+        for bm, bc in btail:
+            mm = bm + shift
+            old = get(mm)
             if old is None:
-                work[mm] = (-c * bc) % p
-                heapq.heappush(heap, (hkey(mm), mm))
+                if mm & guard:
+                    pk.check(mm)
+                work[mm] = c * bc % p
+                push(heap, -mm)
             else:
-                work[mm] = (old - c * bc) % p
+                work[mm] = (old + c * bc) % p
     return rem
 
 
@@ -86,31 +180,26 @@ def normal_form_poly(f, basis_polys, budget=None):
     Groebner basis)."""
     budget = Budget.ensure(budget)
     ring = f.ring
-    reducers = _reducer_table([(g.lm(), g.terms) for g in basis_polys if g],
-                              ring.order.slots)
-    rem = _nf_dict(dict(f.terms), reducers, ring, budget)
-    return ring.from_dict(rem)
+    basis = [g for g in basis_polys if g]
+    pk = _packing_for([f] + basis, ring)
+    reducers = _reducer_table([_pack(g, pk) for g in basis], pk)
+    rem = _nf_dict(dict(_pack(f, pk)), reducers, pk, ring.p, budget)
+    return _unpack(rem.items(), ring, pk)
 
 
 # ---------------------------------------------------------------------------
 # Buchberger
 
-def _spoly_dict(gi, gj, ring):
-    """S-polynomial of two monic basis entries (lm, terms)."""
-    lmi, ti = gi
-    lmj, tj = gj
-    lcm = mono_lcm(lmi, lmj)
-    si = mono_div(lcm, lmi)
-    sj = mono_div(lcm, lmj)
-    p = ring.p
+def _spoly_dict(ti, tj, lcm, pk, p):
+    """S-polynomial of two monic packed basis entries with the packed lcm
+    of their leading monomials."""
     d = {}
-    for m, c in ti:
-        mm = mono_mul(m, si)
-        d[mm] = (d.get(mm, 0) + c) % p
-    for m, c in tj:
-        mm = mono_mul(m, sj)
-        d[mm] = (d.get(mm, 0) - c) % p
-    return {m: c for m, c in d.items() if c}
+    for terms, sign in ((ti, 1), (tj, -1)):
+        shift = lcm - terms[0][0]
+        for m, c in terms:
+            mm = m + shift
+            d[mm] = (d.get(mm, 0) + sign * c) % p
+    return {pk.check(m): c for m, c in d.items() if c}
 
 
 def buchberger(gens, ring, budget=None):
@@ -119,101 +208,104 @@ def buchberger(gens, ring, budget=None):
     outruns the step budget.  Under a module order (POT) only pairs with
     leading terms in the same position are formed."""
     budget = Budget.ensure(budget)
-    key = ring.order.key
-    hkey = ring.order.heap_key
+    p = ring.p
     slots = ring.order.slots
+    seed = {g.monic() for g in gens if g}
+    if not seed:
+        return ()
+    pk = _packing_for(seed, ring)
+    guard, slotmask = pk.guard, pk.slotmask
 
-    G = []           # (lm, terms, sugar)
+    G = []           # packed monic term tuples, largest term first
+    lms = []         # their leading monomials
+    lm_exps = []     # the same as exponent tuples, for lcms and degrees
+    sugars = []
     reducers = {}    # _reducer_table of G, grown as G grows
-    pairs = []       # heap of (sugar, lcm_key, i, j)
+    pairs = []       # heap of (sugar, packed lcm, i, j)
     done = set()     # treated index pairs, for the chain criterion
 
     def push_pairs(j):
-        lmj, _, sj = G[j]
+        lmj, sj = lm_exps[j], sugars[j]
+        dj = mono_deg(lmj)
         for i in range(j):
-            lmi, _, si = G[i]
+            lmi = lm_exps[i]
             if lmi[:slots] != lmj[:slots]:
                 continue
             lcm = mono_lcm(lmi, lmj)
-            sugar = max(si + mono_deg(lcm) - mono_deg(lmi),
-                        sj + mono_deg(lcm) - mono_deg(lmj))
-            heapq.heappush(pairs, (sugar, key(lcm), i, j))
+            d = mono_deg(lcm)
+            sugar = max(sugars[i] + d - mono_deg(lmi), sj + d - dj)
+            heapq.heappush(pairs, (sugar, pk.encode(lcm), i, j))
 
-    def add(poly_terms, sugar):
-        terms = sorted(poly_terms.items(), key=lambda mc: hkey(mc[0]))
+    def add(terms, sugar):
+        """Append monic packed terms, already largest first."""
         lm, c = terms[0]
         if c != 1:
-            inv = pow(c, -1, ring.p)
-            terms = [(m, (v * inv) % ring.p) for m, v in terms]
+            inv = pow(c, -1, p)
+            terms = [(m, (v * inv) % p) for m, v in terms]
         terms = tuple(terms)
-        G.append((lm, terms, sugar))
-        reducers.setdefault(lm[:slots], []).append((lm, terms))
+        G.append(terms)
+        lms.append(lm)
+        lm_exps.append(pk.decode(lm))
+        sugars.append(sugar)
+        reducers.setdefault(lm & slotmask, []).append((lm, terms[1:]))
         push_pairs(len(G) - 1)
 
-    seed = sorted({g.monic() for g in gens if g},
-                  key=lambda g: (key(g.lm()), g.terms))
-    for g in seed:
-        add(dict(g.terms), g.degree())
-    if not G:
-        return ()
+    packed = [(_pack(g, pk), g) for g in seed]
+    packed.sort(key=lambda tg: (tg[0][0][0], tg[1].terms))
+    for terms, g in packed:
+        add(terms, g.degree())
 
-    zero = (0,) * ring.nvars
     while pairs:
-        sugar, _, i, j = heapq.heappop(pairs)
+        sugar, lcm, i, j = heapq.heappop(pairs)
         if (i, j) in done:
             continue
         done.add((i, j))
-        lmi, ti, _ = G[i]
-        lmj, tj, _ = G[j]
-        lcm = mono_lcm(lmi, lmj)
-        if mono_gcd(lmi, lmj) == zero:
-            continue  # product criterion
+        if lcm == lms[i] + lms[j]:
+            continue  # product criterion: coprime leading monomials
         skip = False
-        for k in range(len(G)):
-            if k in (i, j):
+        for k, lmk in enumerate(lms):
+            if (lcm - lmk) & guard or k == i or k == j:
                 continue
-            if mono_divides(G[k][0], lcm):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a in done and b in done:
-                    skip = True
-                    break
+            a = (min(i, k), max(i, k))
+            b = (min(j, k), max(j, k))
+            if a in done and b in done:
+                skip = True
+                break
         if skip:
             continue
         budget.charge()
-        sp = _spoly_dict((lmi, ti), (lmj, tj), ring)
-        rem = _nf_dict(sp, reducers, ring, budget)
+        sp = _spoly_dict(G[i], G[j], lcm, pk, p)
+        rem = _nf_dict(sp, reducers, pk, p, budget)
         if rem:
-            add(rem, sugar)
+            add(list(rem.items()), sugar)
 
-    return _reduce_basis([Polynomial(ring, terms) for _, terms, _ in G],
-                         ring, budget)
+    return tuple(_unpack(terms, ring, pk)
+                 for terms in _reduce_basis(G, pk, p, budget))
 
 
-def _reduce_basis(polys, ring, budget):
-    """Minimalize and tail-reduce a basis into the unique reduced form,
-    sorted ascending by leading monomial."""
-    key = ring.order.key
-    polys = sorted((g.monic() for g in polys if g),
-                   key=lambda g: (key(g.lm()), g.terms))
+def _reduce_basis(basis, pk, p, budget):
+    """Minimalize and tail-reduce monic packed term tuples into the unique
+    reduced basis, as packed term tuples ascending by leading monomial.
+
+    Only input generators can share a leading monomial (every later entry
+    is reduced by all before it), and buchberger adds them sorted by
+    (lm, terms), so the stable sort by lm keeps their order."""
+    guard = pk.guard
     minimal = []
-    for g in polys:
-        if not any(mono_divides(h.lm(), g.lm()) for h in minimal):
-            minimal.append(g)
+    for terms in sorted(basis, key=lambda t: t[0][0]):
+        lm = terms[0][0]
+        if not any(not (lm - h[0][0]) & guard for h in minimal):
+            minimal.append(terms)
     # g cannot reduce its own tail (every tail term is below lm(g)), and no
     # other leading monomial divides lm(g), so reducing the tail against
     # the whole minimal basis is reducing g against the others.
-    reducers = _reducer_table([(g.lm(), g.terms) for g in minimal],
-                              ring.order.slots)
+    reducers = _reducer_table(minimal, pk)
     reduced = []
-    for g in minimal:
-        rem = _nf_dict(dict(g.terms[1:]), reducers, ring, budget)
-        rem[g.lm()] = 1
-        reduced.append(ring.from_dict(rem))
-    reduced.sort(key=lambda g: key(g.lm()))
-    return tuple(reduced)
-
-
+    for terms in minimal:
+        rem = _nf_dict(dict(terms[1:]), reducers, pk, p, budget)
+        reduced.append(terms[:1] + tuple(rem.items()))
+    reduced.sort()
+    return reduced
 # ---------------------------------------------------------------------------
 # ideals
 

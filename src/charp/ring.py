@@ -61,10 +61,6 @@ def mono_lcm(a, b):
     return tuple(map(max, a, b))
 
 
-def mono_gcd(a, b):
-    return tuple(map(min, a, b))
-
-
 def mono_deg(a):
     return sum(a)
 
@@ -87,7 +83,19 @@ def minimal_monomials(monos, key=None):
 # position rather than a variable (see POT); the ideal orders have none.
 # `key` ranks monomials ascending; `heap_key` is a flat tuple whose plain
 # ascending order is the descending order of `key`, so a min-heap or an
-# ascending sort on it yields the largest monomial first.
+# ascending sort on it yields the largest monomial first.  `weight_rows(n)`
+# gives the order as a 0/1 weight matrix on exponent tuples of length n:
+# comparing the row sums lexicographically is comparing `key`, and the row
+# sums of a product are the sums of the factors' row sums (the groebner
+# engine packs them into one int per term).
+
+
+def _grevlex_rows(lo, hi, n):
+    """Grevlex on the variables lo..hi-1: the block degree, then the sums
+    of ever shorter prefixes of the block."""
+    return [tuple(1 if lo <= i < top else 0 for i in range(n))
+            for top in range(hi, lo, -1)]
+
 
 @dataclass(frozen=True)
 class Lex:
@@ -102,6 +110,9 @@ class Lex:
     def heap_key(self, exps):
         return tuple(-e for e in exps)
 
+    def weight_rows(self, n):
+        return [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
+
 
 @dataclass(frozen=True)
 class GRevLex:
@@ -115,6 +126,9 @@ class GRevLex:
 
     def heap_key(self, exps):
         return (-sum(exps),) + exps[::-1]
+
+    def weight_rows(self, n):
+        return _grevlex_rows(0, n, n)
 
 
 @dataclass(frozen=True)
@@ -141,6 +155,10 @@ class Block:
         head, tail = exps[: self.k], exps[self.k:]
         return (-sum(head),) + head[::-1] + (-sum(tail),) + tail[::-1]
 
+    def weight_rows(self, n):
+        k = min(self.k, n)
+        return _grevlex_rows(0, k, n) + _grevlex_rows(k, n, n)
+
 
 @dataclass(frozen=True)
 class POT:
@@ -164,6 +182,11 @@ class POT:
 
     def heap_key(self, exps):
         return (exps[0],) + self.base.heap_key(exps[2:])
+
+    def weight_rows(self, n):
+        """The slot rank - i (lower positions win), then the base rows."""
+        return ([(0, 1) + (0,) * (n - 2)]
+                + [(0, 0) + row for row in self.base.weight_rows(n - 2)])
 
 
 def order_from_name(name):
@@ -424,14 +447,25 @@ class Polynomial:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scaled(self, c):
+        p = self.ring.p
+        c %= p
+        if c == 0:
+            return self.ring.zero()
+        if c == 1:
+            return self
+        return Polynomial(self.ring,
+                          tuple((m, (v * c) % p) for m, v in self.terms))
+
     def __mul__(self, other):
         if isinstance(other, int):
-            other %= self.ring.p
-            if other == 0:
-                return self.ring.zero()
-            return Polynomial(self.ring,
-                              tuple((m, (c * other) % self.ring.p) for m, c in self.terms))
+            return self._scaled(other)
         self._check(other)
+        # a constant factor scales the other one's terms, already in order
+        if other.is_constant:
+            return self._scaled(other.lc())
+        if self.is_constant and self.ring is other.ring:
+            return other._scaled(self.lc())
         p = self.ring.p
         d = {}
         for m1, c1 in self.terms:

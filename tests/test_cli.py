@@ -195,6 +195,20 @@ class TestExitCodes:
             assert code == 2, window
             assert "--window: must be >= 1" in err, window
 
+    def test_negative_e_is_a_parse_error(self, capsys):
+        for command in ("frobpow", "frobpre"):
+            code, out, err = run(capsys, command, "--ring", "F_2[x,y]",
+                                 "--ideal", "(x)", "--e", "-1")
+            assert code == 2 and out == "", command
+            assert "--e: must be >= 0" in err, command
+
+    def test_budget_below_one_is_a_parse_error(self, capsys):
+        for budget in ("0", "-1"):
+            code, out, err = run(capsys, "gb", "--ring", "F_2[x,y]",
+                                 "--ideal", "(x)", "--budget", budget)
+            assert code == 2 and out == "", budget
+            assert "--budget: must be >= 1" in err, budget
+
     def test_negative_count_is_a_parse_error(self, capsys):
         code, out, err = run(capsys, "verify", "oracles", "--count", "-1")
         assert code == 2 and out == ""

@@ -6,15 +6,23 @@ hand over F_2), memberships are re-checked against cofactor linear algebra,
 and preimage/colon identities against brute-force enumeration.
 """
 
+import json
 import random
+import runpy
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from charp import (Block, Budget, BudgetExceeded, GRevLex, Ideal, Lex, Ring,
-                   colon_ideal, eliminate, groebner_basis, intersect,
-                   parse_poly, parse_ring, radical_membership)
-from charp.groebner import _nf_dict, _reducer_table
-from charp.ring import POT, mono_div, mono_divides, mono_mul
+from charp import (Block, Budget, BudgetExceeded, ExponentOverflow, GRevLex,
+                   Ideal, Lex, Polynomial, Ring, buchberger, colon_ideal,
+                   eliminate, groebner, groebner_basis, intersect, parse_poly,
+                   parse_ring, radical_membership)
+from charp.cli import main
+from charp.groebner import _FIELD_MARGIN, _packing, normal_form_poly
+from charp.ring import (EXPONENT_LIMIT, POT, mono_div, mono_divides,
+                        mono_mul)
 from charp.verify import brute_force_member, random_poly
 
 ORDERS = [Lex(), GRevLex(), Block(1), Block(2), POT(2, GRevLex()),
@@ -203,17 +211,17 @@ class TestMembershipOracle:
 # ---------------------------------------------------------------------------
 # heap division against a max-scan reference
 
-def _maxscan_nf(work, reducers, ring, budget):
-    """Reference division: rescan every pending term for the largest one
-    under `key` at every step."""
+def _maxscan_nf(work, basis, ring, budget):
+    """Reference division on exponent tuples: rescan every pending term for
+    the largest one under `key` at every step, and reduce it by the first
+    monic reducer (lm, terms) whose leading monomial divides it."""
     p = ring.p
     key = ring.order.key
-    slots = ring.order.slots
     rem = {}
     while work:
         m = max(work, key=key)
         c = work.pop(m)
-        for blm, bterms in reducers.get(m[:slots], ()):
+        for blm, bterms in basis:
             if mono_divides(blm, m):
                 break
         else:
@@ -264,6 +272,8 @@ def _monic_reducer(terms, order, p):
 @pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.name)
 class TestHeapDivision:
     def test_matches_max_scan_division(self, order):
+        # through the packing boundary: normal_form_poly packs the reducers
+        # and the dividend, divides, and unpacks the remainder
         p = 5
         ring = _order_ring(order, p)
         rng = random.Random(f"heapdiv-{order.name}")
@@ -272,15 +282,15 @@ class TestHeapDivision:
             basis = [_monic_reducer(_random_terms(order, rng, p, rng.randrange(1, 5)),
                                     order, p)
                      for _ in range(rng.randrange(1, 5))]
-            reducers = _reducer_table(basis, order.slots)
             work = _random_terms(order, rng, p, rng.randrange(1, 9))
             heap_budget, scan_budget = Budget(10 ** 6), Budget(10 ** 6)
-            got = _nf_dict(dict(work), reducers, ring, heap_budget)
-            want = _maxscan_nf(dict(work), reducers, ring, scan_budget)
-            assert got == want
+            got = normal_form_poly(ring.from_dict(work),
+                                   [Polynomial(ring, t) for _, t in basis],
+                                   heap_budget)
+            want = _maxscan_nf(dict(work), basis, ring, scan_budget)
+            # equal remainders, both largest term first
+            assert got.terms == tuple(want.items())
             assert heap_budget.used == scan_budget.used
-            # the remainder comes out largest term first
-            assert list(got) == sorted(got, key=order.key, reverse=True)
             steps += heap_budget.used
         assert steps > 0
 
@@ -290,3 +300,169 @@ class TestHeapDivision:
             monos = list({_random_mono(order, rng, top=5) for _ in range(30)})
             assert (sorted(monos, key=order.heap_key)
                     == sorted(monos, key=order.key, reverse=True))
+
+
+# ---------------------------------------------------------------------------
+# packed terms
+
+NVARS = 5   # exponent slots; POT orders spend two of them on the position
+EXPONENTS = st.one_of(st.integers(0, 9),
+                      st.integers(EXPONENT_LIMIT - 9, EXPONENT_LIMIT))
+
+
+def _monos(order, exps=EXPONENTS):
+    """Exponent tuples of length NVARS; module terms under POT."""
+    if not order.slots:
+        return st.tuples(*[exps] * NVARS)
+    return st.tuples(st.integers(0, order.rank - 1),
+                     *[exps] * (NVARS - 2)).map(
+        lambda t: (t[0], order.rank - t[0]) + t[1:])
+
+
+def _shifts(order, exps=EXPONENTS):
+    """Monomials that multiply a term of `order`: no position under POT."""
+    return st.tuples(*[exps] * (NVARS - order.slots)).map(
+        lambda t: (0,) * order.slots + t)
+
+
+def _packing_of(order, *monos, margin=_FIELD_MARGIN):
+    top = max(max(m) for m in monos)
+    return _packing(order, NVARS, top.bit_length() + margin)
+
+
+def _by_order(test):
+    """Run a property for each order, drawing its monomials in the test."""
+    return pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.name)(
+        settings(max_examples=40, deadline=None)(given(data=st.data())(test)))
+
+
+class TestPacking:
+    @_by_order
+    def test_decode_undoes_encode(self, order, data):
+        a = data.draw(_monos(order))
+        pk = _packing_of(order, a)
+        assert pk.decode(pk.encode(a)) == a
+
+    @_by_order
+    def test_packing_is_additive(self, order, data):
+        a, s = data.draw(_monos(order)), data.draw(_shifts(order))
+        prod = mono_mul(a, s)
+        pk = _packing_of(order, prod)
+        assert pk.encode(a) + pk.encode(s) == pk.encode(prod)
+        assert pk.decode(pk.check(pk.encode(a) + pk.encode(s))) == prod
+
+    @_by_order
+    def test_int_order_is_the_monomial_order(self, order, data):
+        # also with no margin: the K fields alone must hold their row sums
+        a, b = data.draw(_monos(order)), data.draw(_monos(order))
+        for margin in (_FIELD_MARGIN, 0):
+            pk = _packing_of(order, a, b, margin=margin)
+            assert ((pk.encode(a) < pk.encode(b))
+                    == (order.key(a) < order.key(b)))
+            assert (pk.encode(a) == pk.encode(b)) == (a == b)
+
+    @_by_order
+    def test_guard_test_is_divisibility(self, order, data):
+        a = data.draw(_monos(order))
+        small = st.integers(0, 3)
+        b = data.draw(st.one_of(_monos(order),
+                                _shifts(order, small).map(
+                                    lambda s: mono_mul(a, s))))
+        pk = _packing_of(order, a, b)
+        divides = not (pk.encode(b) - pk.encode(a)) & pk.guard
+        assert divides == mono_divides(a, b)
+
+    @_by_order
+    def test_field_overflow_raises(self, order, data):
+        bits = data.draw(st.integers(1, 6))
+        exps = st.integers(0, (1 << bits) - 1)
+        a, s = data.draw(_monos(order, exps)), data.draw(_shifts(order, exps))
+        pk = _packing(order, NVARS, bits)
+        prod = pk.encode(a) + pk.encode(s)
+        if max(mono_mul(a, s)) < 1 << bits:
+            assert pk.decode(pk.check(prod)) == mono_mul(a, s)
+        else:
+            with pytest.raises(ExponentOverflow):
+                pk.check(prod)
+
+    @pytest.mark.parametrize("gens, basis", [
+        # reducing x^3 by x + y^3 reaches x*y^6 in the division loop
+        (("x + y^3", "x^3"), ["y^9", "x + y^3"]),
+        # the S-polynomial y*(x^2 + y^3) - x*(x*y) is y^4
+        (("x^2 + y^3", "x*y"), ["y^4", "x*y", "x^2 + y^3"]),
+    ])
+    def test_engine_overflow_is_an_exponent_overflow(self, gens, basis,
+                                                     monkeypatch, capsys):
+        # with no field margin, the 2-bit fields sized for the inputs'
+        # exponent 3 cannot hold the 4 or 6 these runs form
+        ring = parse_ring("F_2[x,y]").with_order(Lex())
+        polys = [ring.poly(g) for g in gens]
+        assert [str(g) for g in buchberger(polys, ring)] == basis
+        monkeypatch.setattr(groebner, "_FIELD_MARGIN", 0)
+        with pytest.raises(ExponentOverflow):
+            buchberger(polys, ring)
+        code = main(["gb", "--ring", "F_2[x,y]", "--order", "lex",
+                     "--ideal", "(" + ", ".join(gens) + ")"])
+        out, err = capsys.readouterr()
+        assert code == 5 and out == "" and err.startswith("input error:")
+
+    def test_division_overflow_is_an_exponent_overflow(self, monkeypatch):
+        # x^3 -> x^2*y^3 -> x*y^6 modulo x + y^3, in the division loop alone
+        ring = parse_ring("F_2[x,y]").with_order(Lex())
+        f, g = ring.poly("x^3"), ring.poly("x + y^3")
+        assert str(normal_form_poly(f, [g])) == "y^9"
+        monkeypatch.setattr(groebner, "_FIELD_MARGIN", 0)
+        with pytest.raises(ExponentOverflow):
+            normal_form_poly(f, [g])
+
+
+# ---------------------------------------------------------------------------
+# pinned answers and step counts
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("name, steps", [("cyclic-5", 1563),
+                                         ("katsura-5", 4025)])
+def test_classical_basis_and_step_count(name, steps):
+    # the inputs and the sympy reference bases of the benchmark, read only
+    ref = json.loads((ROOT / "perfbench" / "reference" / "classical.json")
+                     .read_text())
+    systems = runpy.run_path(str(ROOT / "perfbench" / "systems.py"))
+    nvars, polys = systems["CLASSICAL"][name]()
+    ring = Ring(ref["prime"], [f"v{i}" for i in range(nvars)])
+    budget = Budget(10 ** 6)
+    gb = buchberger([ring.from_dict(d) for d in polys], ring, budget)
+    assert sorted(sorted([list(m), c] for m, c in g.terms)
+                  for g in gb) == ref["bases"][name]
+    assert budget.used == steps
+
+
+def test_generators_sharing_a_leading_monomial_keep_their_step_count():
+    # the inputs are taken in (lm, terms) order with terms compared as
+    # exponent tuples; another tie order reaches the same basis in 11 steps
+    ring = parse_ring("F_3[x,y,z]")
+    gens = [ring.poly(g) for g in ("x^2 + 2*y^2 + x + 2*y",
+                                   "x^2 + y*z + 2*z^2 + 2*y",
+                                   "2*x^2 + x + 2*z")]
+    budget = Budget()
+    buchberger(gens, ring, budget)
+    assert budget.used == 15
+
+
+@pytest.mark.parametrize("order", [GRevLex(), Lex(), Block(1)],
+                         ids=lambda o: o.name)
+def test_bracket_power_basis_is_the_power_of_the_basis(order, dense_poly):
+    # in(I^[q]) = in(I)^[q], so over F_2 the reduced basis of I^[q] is
+    # {g^q : g in the reduced basis of I}; q = 2^40 needs wide fields.  The
+    # Frobenius maps the whole run onto the run on I, step for step.
+    ring = parse_ring("F_2[x,y,z]").with_order(order)
+    rng = random.Random(f"bracket-basis/{order.name}")
+    for _ in range(4):
+        gens = [dense_poly(ring, rng, 2, rng.randrange(2, 5))
+                for _ in range(3)]
+        small, big = Budget(), Budget()
+        gb = buchberger(gens, ring, small)
+        gb_q = buchberger([g.frobenius(40) for g in gens], ring, big)
+        assert [g.terms for g in gb_q] == [g.frobenius(40).terms for g in gb]
+        assert big.used == small.used

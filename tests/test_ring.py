@@ -1,5 +1,7 @@
 """Base arithmetic: parsing, canonical forms, orders, Frobenius, roots."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -186,3 +188,17 @@ def test_coefficients_always_reduced(f):
     assert all(0 < c < R5.p for _, c in f.terms)
     keys = [R5.order.key(m) for m, _ in f.terms]
     assert keys == sorted(keys, reverse=True)
+
+
+@pytest.mark.parametrize("ring", [R2, R3, R5, R3.with_order(Lex())],
+                         ids=["F2", "F3", "F5", "F3-lex"])
+def test_constant_factor_is_scaling(ring, dense_poly):
+    rng = random.Random(f"const-factor/{ring!r}/{ring.order.name}")
+    for _ in range(20):
+        f = dense_poly(ring, rng, 3, rng.randrange(1, 8))
+        c = rng.randrange(-ring.p, 2 * ring.p)
+        assert (f * ring.one()).terms == f.terms
+        assert (ring.one() * f).terms == f.terms
+        assert (f * ring.const(c)).terms == (f * c).terms
+        assert (ring.const(c) * f).terms == (c * f).terms
+        assert (f * ring.zero()).is_zero and (ring.zero() * f).is_zero
