@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .budget import Budget, InternalInvariantError
-from .groebner import Ideal
 from .ring import minimal_monomials
 
 KIND_ASS = "Ass"
@@ -42,9 +41,6 @@ class PrimeIdealRecord:
     side: str = SIDE_BASE
     witness: object = field(default=None, compare=False)
     first_seen: object = field(default=None, compare=False)
-
-    def ideal(self, ring):
-        return Ideal(ring, [ring.var(v) for v in self.variables])
 
     def __str__(self):
         body = "(" + (", ".join(self.variables) if self.variables else "0") + ")"

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 from .budget import Budget, InternalInvariantError
@@ -350,7 +350,7 @@ def _dimension_zero(levels, rank, ring, budget):
     return False
 
 
-def _greedy_search(M, e_max, seed, trials, max_degree, budget):
+def _greedy_search(M, e_max, seed, trials, budget):
     """Grow a sequence greedily: the next element is the first pool form
     (linear forms, then homogeneous quadratics) regular on F^e(M) for every
     e <= e_max, modulo the elements already chosen.  A round starts with
@@ -364,8 +364,10 @@ def _greedy_search(M, e_max, seed, trials, max_degree, budget):
     rank = M.rank
     levels = [frobenius_functor(M, e).lifted_columns()
               for e in range(e_max + 1)]
-    # graded M = 0 shows as dimension -1 in the dim stop
-    if row_degrees(levels[0], rank) is None and M.is_zero_module(budget):
+    # graded M = 0 shows as dimension -1 in the dim stop; otherwise M_m = 0
+    # exactly when H_0(x; M) = M/mM = 0 (Nakayama)
+    graded = row_degrees(levels[0], rank) is not None
+    if not graded and not koszul_homology_nonzero(free.gens(), M, 0, budget):
         raise ValueError(_VANISHES)
     pools = None
     witness = []
@@ -374,9 +376,8 @@ def _greedy_search(M, e_max, seed, trials, max_degree, budget):
         if _dimension_zero(levels, rank, free, budget):
             return DepthSearchReport(len(witness), tuple(witness), True, seed)
         if pools is None:  # once per search, and only if a round needs them
-            pools = [linear_candidates(free, seed, trials)]
-            if max_degree >= 2:
-                pools.append(quadratic_candidates(free, seed, trials))
+            pools = [linear_candidates(free, seed, trials),
+                     quadratic_candidates(free, seed, trials)]
         found = None
         for forms, full in pools:
             if not full:
@@ -395,11 +396,11 @@ def _greedy_search(M, e_max, seed, trials, max_degree, budget):
                   for cols in levels]
 
 
-def classical_depth_search(M, seed=0, trials=512, max_degree=2, budget=None):
+def classical_depth_search(M, seed=0, trials=512, budget=None):
     """Greedy search for a regular sequence on M among linear forms, then
     homogeneous quadratics.  Returns a lower bound for depth with a
     witness."""
-    return _greedy_search(M, 0, seed, trials, max_degree, budget)
+    return _greedy_search(M, 0, seed, trials, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -421,16 +422,13 @@ class SdepthReport:
         return self.stabilized_value is None
 
 
-def sdepth(M, e_max=4, window=2, f_pure=None, cross_check=True, budget=None):
+def sdepth(M, e_max=4, window=2, cross_check=True, budget=None):
     """Stabilizing depth of M: the eventual constant value of depth under
     the Frobenius functor.  Over an F-pure ring the per-level values must be
     non-increasing; a violation is a hard engine failure."""
     budget = Budget.ensure(budget)
-    if f_pure is None:
-        if M.ring.is_quotient:
-            f_pure = fedder_f_pure(M.ring, budget=budget).is_f_pure
-        else:
-            f_pure = True
+    f_pure = (not M.ring.is_quotient
+              or fedder_f_pure(M.ring, budget=budget).is_f_pure)
     per_e = []
     for e in range(e_max + 1):
         d = depth_at_origin(frobenius_functor(M, e), cross_check, budget)
@@ -446,12 +444,11 @@ def sdepth(M, e_max=4, window=2, f_pure=None, cross_check=True, budget=None):
     return SdepthReport(per_e, stabilized, window, f_pure, monotone)
 
 
-def cdepth_lower_bound(M, e_max=4, seed=0, trials=512, max_degree=2,
-                       budget=None):
+def cdepth_lower_bound(M, e_max=4, seed=0, trials=512, budget=None):
     """Longest sequence found that is regular on F^e(M) for every e <= e_max
     simultaneously; bounds the classical depth of the perfect-closure base
     change from below."""
-    return _greedy_search(M, e_max, seed, trials, max_degree, budget)
+    return _greedy_search(M, e_max, seed, trials, budget)
 
 
 @dataclass
@@ -473,13 +470,15 @@ class KdepthReport:
 
 def kdepth_truncation_profile(M, e_max=4, window=2, budget=None):
     """Per-level Koszul profiles plus whether the nonzero-homology pattern
-    is eventually constant with grade equal to the stabilizing depth."""
+    is eventually constant with grade equal to the stabilizing depth.  No
+    homology at level 0 means M_m = 0 (F^e keeps it): a ValueError."""
     budget = Budget.ensure(budget)
     free = M.ring.free()
     xs = list(free.gens())
-    profiles = []
-    for e in range(e_max + 1):
-        profiles.append(kgrade(xs, frobenius_functor(M, e), budget))
+    profiles = [kgrade(xs, frobenius_functor(M, e), budget)
+                for e in range(e_max + 1)]
+    if not profiles[0].nonzero_homology:
+        raise ValueError(_VANISHES)
     patterns = [p.nonzero_homology for p in profiles]
     stable = (len(patterns) >= window
               and all(p == patterns[-1] for p in patterns[-window:]))

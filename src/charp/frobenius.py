@@ -175,26 +175,22 @@ def fedder_f_pure(ring, m=None, budget=None):
 
 @dataclass
 class FSequence:
-    """A finite prefix J_0, ..., J_E of a chain with f^{-1}(J_{e+1}) = J_e,
-    plus an optional closed-form rule for extending the prefix."""
+    """A finite prefix J_0, ..., J_E of a chain with f^{-1}(J_{e+1}) = J_e."""
 
     ring: Ring
     terms: tuple
-    rule: str = "custom"          # "frobenius-powers" | "constant" | "custom"
-    base: Ideal | None = None
 
     @classmethod
     def bracket_chain(cls, I, E):
-        terms = tuple(frobenius_power(I, e) for e in range(E + 1))
-        return cls(I.ring, terms, "frobenius-powers", I)
+        return cls(I.ring, tuple(frobenius_power(I, e) for e in range(E + 1)))
 
     @classmethod
     def constant_chain(cls, P, E):
-        return cls(P.ring, (P,) * (E + 1), "constant", P)
+        return cls(P.ring, (P,) * (E + 1))
 
     @classmethod
     def explicit(cls, ring, terms):
-        return cls(ring, tuple(terms), "custom")
+        return cls(ring, tuple(terms))
 
     def __len__(self):
         return len(self.terms)
@@ -202,21 +198,6 @@ class FSequence:
     @property
     def top_index(self):
         return len(self.terms) - 1
-
-    def term(self, e):
-        if e < len(self.terms):
-            return self.terms[e]
-        if self.rule == "frobenius-powers":
-            return frobenius_power(self.base, e)
-        if self.rule == "constant":
-            return self.base
-        raise IndexError(f"prefix ends at {self.top_index} and has no rule")
-
-    def extended(self, E):
-        if E <= self.top_index:
-            return self
-        terms = tuple(self.term(e) for e in range(E + 1))
-        return FSequence(self.ring, terms, self.rule, self.base)
 
 
 def fseq_verify(seq, budget=None):

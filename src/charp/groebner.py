@@ -257,8 +257,6 @@ def buchberger(gens, ring, budget=None):
 
     while pairs:
         sugar, lcm, i, j = heapq.heappop(pairs)
-        if (i, j) in done:
-            continue
         done.add((i, j))
         if lcm == lms[i] + lms[j]:
             continue  # product criterion: coprime leading monomials

@@ -390,10 +390,9 @@ def _prune_units(cols, ring):
     """Split trivial summands off a matrix: while some column has a unit
     entry in row a, clear row a from the other columns with it, then delete
     that column and row a.  Spans and exactness are preserved.  Returns the
-    nonzero columns left and the deleted rows, each index counted after the
-    earlier deletions."""
+    nonzero columns left and the number of rows deleted."""
     cols = [list(c) for c in cols]
-    rows = []
+    deleted = 0
     while True:
         hit = None
         for b, col in enumerate(cols):
@@ -413,47 +412,36 @@ def _prune_units(cols, ring):
         cols.pop(b)
         for col in cols:
             col.pop(a)
-        rows.append(a)
-    return [tuple(c) for c in cols if not vec_is_zero(c)], rows
+        deleted += 1
+    return [tuple(c) for c in cols if not vec_is_zero(c)], deleted
 
 
 def free_resolution(pres, cap=8, budget=None):
-    """Iterated syzygies with minimality pruning.  Returns (FreeComplex, pd)
-    where pd is None when the resolution did not terminate within cap.
-    Requires a free ring; the projective-dimension oracle is graded-only by
-    contract but the computation itself just needs the ring."""
+    """Iterated irredundant syzygies, with unit entries pruned from the
+    presentation only: a syzygy s of an irredundant matrix has no unit
+    entry s_a, which would put column a in the span of the others.  Returns
+    (FreeComplex, pd), pd None when cap steps did not close it.  Requires
+    a free ring, though only the depth oracle needs grading."""
     budget = Budget.ensure(budget)
     ring = pres.ring
     if ring.is_quotient:
         raise ValueError("free resolutions are computed over the free ring")
-    rank = pres.rank
-    cols, rows = _prune_units(pres.columns, ring)
-    rank -= len(rows)
+    cols, deleted = _prune_units(pres.columns, ring)
+    rank = pres.rank - deleted
     cols = _irredundant_columns(cols, rank, ring, budget)
     if not cols:
         return FreeComplex(ring, rank, []), 0
-    diffs = [(rank, list(cols))]
+    diffs = [cols]
     pd = None
     for step in range(1, cap + 1):
-        codrank, cur = diffs[-1]
-        syz = [s for s in syzygy_module(cur, codrank, ring, budget)
-               if not vec_is_zero(s)]
-        cur = list(cur)
-        while True:
-            syz = _irredundant_columns(syz, len(cur), ring, budget)
-            # a unit entry in a syzygy says that column of cur is redundant
-            syz, rows = _prune_units(syz, ring)
-            if not rows:
-                break
-            for a in rows:
-                cur.pop(a)
-        diffs[-1] = (codrank, cur)
+        cur = diffs[-1]
+        syz = syzygy_module(cur, len(cur[0]), ring, budget)
+        syz = _irredundant_columns(syz, len(cur), ring, budget)
         if not syz:
             pd = step
             break
-        diffs.append((len(cur), syz))
-    complex_ = FreeComplex(ring, rank, [tuple(d[1]) for d in diffs])
-    return complex_, pd
+        diffs.append(syz)
+    return FreeComplex(ring, rank, diffs), pd
 
 
 def projective_dimension(pres, cap=8, budget=None):

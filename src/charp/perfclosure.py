@@ -188,14 +188,13 @@ def gamma_fseq(J, E, lift_cap=6, budget=None):
     return GammaReport(seq, ok, fail, tuple(levels))
 
 
-def fseq_to_perfect_ideal(seq, level_cap=None):
+def fseq_to_perfect_ideal(seq):
     """The root-generated ideal matching an f-sequence prefix: take the
     p^e-th roots of the generators of J_e for every represented level."""
     ring = seq.ring
-    cap = seq.top_index if level_cap is None else level_cap
     roots = []
-    for e in range(cap + 1):
-        for g in seq.term(e).gens:
+    for e, term in enumerate(seq.terms):
+        for g in term.gens:
             cand = RootElement(ring, e, g)
             if not any(root_equal(cand, r) for r in roots):
                 roots.append(cand)

@@ -545,8 +545,7 @@ class Polynomial:
             if any(x % q for x in m):
                 return None
             new.append((tuple(x // q for x in m), c))
-        hkey = self.ring.order.heap_key
-        new.sort(key=lambda mc: hkey(mc[0]))
+        # every order is a weight order, so dividing by q keeps the term order
         return Polynomial(self.ring, tuple(new))
 
     # -- ring changes -------------------------------------------------------

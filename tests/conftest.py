@@ -1,8 +1,23 @@
 import itertools
+import os
+import pathlib
 
 import pytest
 
+import charp
 from charp import parse_ring
+
+
+@pytest.fixture
+def subprocess_env():
+    """os.environ with the directory that holds the imported charp package
+    put first on PYTHONPATH, so a child interpreter imports the same charp
+    without an install."""
+    env = dict(os.environ)
+    package_root = str(pathlib.Path(charp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
 
 
 @pytest.fixture

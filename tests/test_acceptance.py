@@ -8,7 +8,6 @@ output.
 
 import itertools
 import json
-import os
 import random
 import subprocess
 import sys
@@ -232,7 +231,7 @@ def test_criterion_9_spectra_and_obstruction():
               "obstruction verified for e <= 4")
 
 
-def test_criterion_10_membership_ground_truth():
+def test_criterion_10_membership_ground_truth(subprocess_env):
     """Engine membership agrees with brute-force cofactor enumeration on 100
     random instances; reduced bases are byte-identical across runs and
     across interpreter hash seeds."""
@@ -270,7 +269,7 @@ def test_criterion_10_membership_ground_truth():
     # determinism across interpreter hash seeds: run the CLI twice
     outs = []
     for hashseed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        env = dict(subprocess_env, PYTHONHASHSEED=hashseed)
         proc = subprocess.run(
             [sys.executable, "-m", "charp", "gb", "--ring", "F_2[x,y,z]",
              "--ideal", "(" + ", ".join(gens) + ")", "--json"],

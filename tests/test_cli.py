@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from charp import verify
 from charp.budget import InternalInvariantError
 from charp.cli import main
@@ -110,6 +112,45 @@ class TestCommands:
                            "--levels", "3", "--json")
         data = json.loads(out)
         assert sorted(data["result"]["radical"]) == ["x", "y"]
+
+
+# Handlers no other test runs to exit 0.  `budget_used` is part of the
+# byte-identical --json contract, so a change that moves it shows here.
+PINNED = [
+    (("colon", "--ring", "F_2[x,y,z]", "--ideal", "(x*y, x*z)", "--by", "(x)"),
+     {"basis": ["z", "y"]}, 3),
+    (("frobpre", "--ring", "F_2[x,y,z]", "--ideal",
+      "(x^2 + y^2*z, y*z^2 + x^3)", "--e", "1"),
+     {"basis": ["y^2*z + x^2", "x^2*y + x*z", "x^3 + y*z^2"]}, 81),
+    (("reg-check", "--ring", "F_2[x,y,z]", "--ideal", "(x*y, x*z)",
+      "--elements", "(y+z)"),
+     {"per_e_regular": [False] * 5}, 56),
+    (("kdepth-profile", "--ring", "F_2[x,y,z]", "--ideal", "(x*y, x*z)",
+      "--emax", "2"),
+     {"matches_sdepth": True, "sdepth": 1, "stable": True, "stable_kgrade": 1,
+      "profiles": [{"e": e, "kgrade": 1, "nonzero_homology": [0, 1, 2]}
+                   for e in range(3)]}, 234),
+    (("cdepth-lb", "--ring", "F_2[x,y,z,w]", "--ideal", "(x*y, z*w)",
+      "--emax", "2"),
+     {"bound": 2, "exhaustive": True, "seed": 0, "witness": ["z + w", "x + y"]},
+     332),
+    (("ass", "--ring", "F_2[x,y]", "--ideal", "(x*y, x^2)", "--point", "0,0"),
+     {"maximal_associated": True}, 7),
+    (("fseq-verify", "--ring", "F_2[x,y]", "--family", "constant", "--ideal",
+      "(x*y + y^2)", "--levels", "2"),
+     {"first_failing_index": None, "ok": True}, 44),
+]
+
+
+@pytest.mark.parametrize("argv, result, budget", PINNED,
+                         ids=[case[0][0] for case in PINNED])
+def test_pinned_json(capsys, argv, result, budget):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["result"] == result
+    assert data["budget_used"] == budget
+    assert data["unresolved_reasons"] == []
 
 
 class TestExitCodes:
@@ -225,6 +266,17 @@ class TestExitCodes:
                                  "--ideal", "(1)")
             assert code == 5 and out == "", ring
             assert "input error: module vanishes at the origin" in err, ring
+
+    def test_local_vanishing_is_an_input_error(self, capsys):
+        # (x + 1) is a unit at the origin, so M_m = 0 though M != 0
+        for command, ideal in (("kdepth-profile", "(x + 1)"),
+                               ("kdepth-profile", "(1)"),
+                               ("cdepth-lb", "(x + 1)")):
+            code, out, err = run(capsys, command, "--ring", "F_2[x,y]",
+                                 "--ideal", ideal)
+            assert code == 5 and out == "", (command, ideal)
+            assert "input error: module vanishes at the origin" in err, \
+                (command, ideal)
 
     def test_unknown_order_is_a_parse_error(self, capsys):
         code, _, err = run(capsys, "gb", "--ring", "F_2[x]", "--ideal", "(x)",

@@ -1,24 +1,17 @@
 """Every demo script runs to completion and prints something."""
 
-import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
-import charp
-
 DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(script):
-    env = dict(os.environ)
-    package_root = str(pathlib.Path(charp.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        [package_root] + [p for p in [env.get("PYTHONPATH")] if p])
-    done = subprocess.run([sys.executable, str(script)], env=env,
+def test_demo_runs(script, subprocess_env):
+    done = subprocess.run([sys.executable, str(script)], env=subprocess_env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()

@@ -156,12 +156,6 @@ class TestFSequences:
         seq = FSequence.explicit(R2xy, [Ideal(R2xy, ["x"]), Ideal(R2xy, ["x^3"])])
         assert fseq_verify(seq) == (False, 0)
 
-    def test_rule_extension(self, R2xy):
-        seq = FSequence.bracket_chain(Ideal(R2xy, ["x", "y"]), 2)
-        ext = seq.extended(4)
-        assert len(ext) == 5
-        assert ext.terms[4].equal(Ideal(R2xy, ["x^16", "y^16"]))
-
     def test_radical_of_bracket_chain(self, R2xy):
         seq = FSequence.bracket_chain(Ideal(R2xy, ["x", "y"]), 4)
         assert fseq_radical_stabilize(seq).equal(Ideal(R2xy, ["x", "y"]))

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 from charp import (Budget, BudgetExceeded, Ideal, ModulePresentation,
                    annihilator, free_resolution, is_graded, parse_ring,
                    syzygy_module)
-from charp.depth import _kron, koszul_differential
+from charp.depth import _kron, depth_at_origin, koszul_differential
 from charp.modules import (apply_columns, diagonal_columns, hilbert_dimension,
                            in_module, kpolynomial, module_colon,
                            module_groebner, monomial_kpolynomial, row_degrees,
-                           vec_is_zero)
+                           vec_is_zero, _unit_entry)
 from charp.ring import mono_deg, mono_divides
 from charp.verify import (random_form, random_graded_module,
                           resolution_kpolynomial)
@@ -224,6 +224,19 @@ class TestFreeResolution:
         cx, pd = free_resolution(M)
         assert pd == 0 and cx.rank0 == 1
 
+    def test_unit_relation_clears_its_row(self, R2xyz):
+        # the unit in (1, y) clears row 0 from (x, z) and (y, x^2), leaving
+        # the relations x*y + z and x^2 + y^2 on the second generator
+        M = ModulePresentation(R2xyz, 2, _cols(R2xyz, [["1", "x", "y"],
+                                                      ["y", "z", "x^2"]]))
+        cx, pd = free_resolution(M)
+        assert pd == 2 and cx.rank0 == 1
+        assert [[str(e) for e in col] for col in cx.diffs[0]] == \
+            [["x*y + z"], ["x^2 + y^2"]]
+        assert [[str(e) for e in col] for col in cx.diffs[1]] == \
+            [["x^2 + y^2", "x*y + z"]]
+        assert depth_at_origin(M) == 1
+
     def test_exactness_on_monomial_samples(self, R2xyz):
         rng = random.Random("exact")
         for _ in range(6):
@@ -408,6 +421,9 @@ def test_free_resolutions_are_exact(cols):
     for i in range(1, cx.length + 1):
         lower, rank = cx.diffs[i - 1], cx.rank(i - 1)
         kernel = syzygy_module(lower, rank, HR2)
+        # lower is irredundant, so a unit entry in a syzygy would put one of
+        # its columns in the span of the others
+        assert all(_unit_entry(k) is None for k in kernel)
         if i == cx.length:
             assert all(vec_is_zero(k) for k in kernel)
             continue
