@@ -1,5 +1,9 @@
 """Command-line front end.
 
+Each subcommand declares its options once, beside its handler, through the
+`@command` decorator that fills `COMMANDS`; every one also takes --ring,
+which `main` parses once.  `verify` keeps its own parser and takes no ring.
+
 Every subcommand prints a human-readable report, or with --json a single
 structured object {command, inputs, result, budget_used, unresolved_reasons}
 with stable field names and sorted keys, so identical requests produce
@@ -56,17 +60,16 @@ _nonnegative_int = _int_at_least(0)
 _positive_int = _int_at_least(1)
 
 
-def _basis_list(ideal, budget):
-    gb = ideal.groebner_basis(budget)
-    return [str(g) for g in gb] if gb else ["0"]
+def _basis_list(basis):
+    return [str(g) for g in basis] or ["0"]
 
 
-def _ideal_arg(ns, ring, attr="ideal"):
-    return Ideal.parse(ring, getattr(ns, attr))
+def _ideal_arg(ns, ring):
+    return Ideal.parse(ring, ns.ideal)
 
 
 def _module_arg(ns, ring):
-    if getattr(ns, "matrix", None):
+    if ns.matrix:
         text = ns.matrix.strip()
         if text.startswith("["):
             text = text[1:]
@@ -81,125 +84,167 @@ def _module_arg(ns, ring):
         cols = [tuple(entries[i][j] for i in range(len(entries)))
                 for j in range(len(entries[0]))]
         return ModulePresentation(ring, len(entries), cols)
-    if getattr(ns, "ideal", None):
+    if ns.ideal:
         return ModulePresentation.cyclic(ring, _ideal_arg(ns, ring).gens)
     raise ParseError("need --ideal or --matrix", "", 0)
 
 
-def _fseq_arg(ns, ring, budget):
-    family = ns.family
-    if family == "list":
+def _fseq_arg(ns, ring):
+    if ns.family == "list":
         if not ns.terms:
             raise ParseError("--family list needs --terms", "", 0)
         terms = [Ideal(ring, parse_poly_list(t.strip(), ring.free()))
                  for t in ns.terms.split(";") if t.strip()]
         return FSequence.explicit(ring, terms)
-    I = _ideal_arg(ns, ring)
-    if family == "bracket":
-        return FSequence.bracket_chain(I, ns.levels)
-    if family == "constant":
-        return FSequence.constant_chain(I, ns.levels)
-    raise ParseError(f"unknown family {family}", family, 0)
+    if ns.ideal is None:
+        raise ParseError(f"--family {ns.family} needs --ideal", "", 0)
+    chain = (FSequence.bracket_chain if ns.family == "bracket"
+             else FSequence.constant_chain)
+    return chain(_ideal_arg(ns, ring), ns.levels)
 
 
 # ---------------------------------------------------------------------------
-# handlers: each returns (result dict, human lines, unresolved reasons)
+# the command table; each handler returns (result, human lines, unresolved)
 
-def _cmd_gb(ns, budget):
-    ring = parse_ring(ns.ring)
+COMMANDS = {}
+
+
+def command(name, help, *options):
+    """Register handler(ns, ring, budget) under `name`, with its options."""
+    def wrap(fn):
+        COMMANDS[name] = (fn, help, options)
+        return fn
+    return wrap
+
+
+def _opt(flag, **kwargs):
+    return flag, kwargs
+
+
+IDEAL = _opt("--ideal", required=True, help="ideal text, e.g. (x, y^2)")
+E = _opt("--e", type=_nonnegative_int, default=1)
+EMAX = _opt("--emax", type=_nonnegative_int, default=DEFAULTS["e_max"])
+MODULE = (_opt("--ideal", help="cyclic module R/I"),
+          _opt("--matrix", help="presentation matrix '[a, b; c, d]'"))
+FSEQ = (_opt("--family", choices=("bracket", "constant", "list"),
+             default="bracket"),
+        _opt("--ideal", help="base ideal for bracket/constant families"),
+        _opt("--levels", type=_nonnegative_int, default=DEFAULTS["e_max"]),
+        _opt("--terms",
+             help="explicit terms '(..);(..);..' for --family list"))
+
+
+@command("gb", "reduced Groebner basis",
+         IDEAL, _opt("--order", help="lex | grevlex | block:k"))
+def _cmd_gb(ns, ring, budget):
     I = _ideal_arg(ns, ring)
+    order = None
     if ns.order:
         try:
             order = order_from_name(ns.order)
         except ValueError as exc:
             raise ParseError(str(exc), ns.order, 0) from None
-        basis = groebner_basis(I, order, budget)
-        out = [str(g) for g in basis] if basis else ["0"]
-    else:
-        out = _basis_list(I, budget)
+    out = _basis_list(groebner_basis(I, order, budget))
     return {"basis": out}, ["basis: (" + ", ".join(out) + ")"], []
 
 
-def _cmd_colon(ns, budget):
-    ring = parse_ring(ns.ring)
+@command("colon", "ideal quotient (I : J)",
+         IDEAL, _opt("--by", required=True, help="the divisor ideal J"))
+def _cmd_colon(ns, ring, budget):
     C = colon_ideal(_ideal_arg(ns, ring), Ideal.parse(ring, ns.by), budget)
-    out = _basis_list(C, budget)
+    out = _basis_list(C.groebner_basis(budget))
     return {"basis": out}, ["colon: (" + ", ".join(out) + ")"], []
 
 
-def _cmd_frobpow(ns, budget):
-    ring = parse_ring(ns.ring)
+@command("frobpow", "bracket power J^[p^e]", IDEAL, E)
+def _cmd_frobpow(ns, ring, budget):
     P = frobenius_power(_ideal_arg(ns, ring), ns.e)
     gens = [str(g) for g in P.gens] or ["0"]
-    return ({"generators": gens, "basis": _basis_list(P, budget)},
+    out = _basis_list(P.groebner_basis(budget))
+    return ({"generators": gens, "basis": out},
             ["bracket power: (" + ", ".join(gens) + ")"], [])
 
 
-def _cmd_frobpre(ns, budget):
-    ring = parse_ring(ns.ring)
+@command("frobpre", "preimage under the e-th Frobenius", IDEAL, E)
+def _cmd_frobpre(ns, ring, budget):
     P = frobenius_preimage(_ideal_arg(ns, ring), ns.e, budget)
-    out = _basis_list(P, budget)
+    out = _basis_list(P.groebner_basis(budget))
     return {"basis": out}, ["preimage: (" + ", ".join(out) + ")"], []
 
 
-def _cmd_closure(ns, budget):
-    ring = parse_ring(ns.ring)
+@command("closure", "Frobenius closure", IDEAL, EMAX)
+def _cmd_closure(ns, ring, budget):
     res = frobenius_closure(_ideal_arg(ns, ring), ns.emax, budget)
-    out = _basis_list(res.closure, budget)
+    out = _basis_list(res.closure.groebner_basis(budget))
     stab = res.stabilized_at if res.stabilized_at is not None else "unresolved"
     lines = [f"closure: (" + ", ".join(out) + ")",
              f"stabilized_at: {stab} (heuristic: {res.heuristic})"]
     unresolved = ([f"closure chain still ascending at e_max={ns.emax}"]
                   if res.unresolved else [])
     return ({"closure": out, "stabilized_at": stab,
-             "chain": [_basis_list(c, budget) for c in res.chain]},
+             "chain": [_basis_list(c.groebner_basis(budget))
+                       for c in res.chain]},
             lines, unresolved)
 
 
-def _cmd_closed(ns, budget):
-    ring = parse_ring(ns.ring)
+@command("closed", "is the ideal Frobenius closed?", IDEAL, EMAX)
+def _cmd_closed(ns, ring, budget):
     ans = is_frobenius_closed(_ideal_arg(ns, ring), ns.emax, budget)
     val = "unresolved" if ans is None else ans
     unresolved = ["closedness undecided within e_max"] if ans is None else []
     return {"closed": val}, [f"frobenius closed: {val}"], unresolved
 
 
-def _cmd_fedder(ns, budget):
-    ring = parse_ring(ns.ring)
+@command("fedder", "F-purity of a quotient ring",
+         _opt("--max-ideal",
+              help="maximal ideal generators (default: variables)"))
+def _cmd_fedder(ns, ring, budget):
     m = Ideal.parse(ring.free(), ns.max_ideal) if ns.max_ideal else None
     rep = fedder_f_pure(ring, m, budget)
+    colon = _basis_list(rep.colon.groebner_basis(budget))
     lines = [("F-pure" if rep.is_f_pure else "not F-pure") + f" (tested at q = {rep.q})"]
     if rep.witness is not None:
         lines.append(f"witness: {rep.witness}")
     return ({"f_pure": rep.is_f_pure,
              "witness": str(rep.witness) if rep.witness is not None else None,
-             "q": rep.q, "colon": _basis_list(rep.colon, budget)}, lines, [])
+             "q": rep.q, "colon": colon}, lines, [])
 
 
-def _cmd_fseq_verify(ns, budget):
-    ring = parse_ring(ns.ring)
-    seq = _fseq_arg(ns, ring, budget)
-    ok, idx = fseq_verify(seq, budget)
+@command("fseq-verify", "check the defining property", *FSEQ)
+def _cmd_fseq_verify(ns, ring, budget):
+    ok, idx = fseq_verify(_fseq_arg(ns, ring), budget)
     lines = ["f-sequence: verified" if ok else f"f-sequence: FAILS at index {idx}"]
     return {"ok": ok, "first_failing_index": idx}, lines, []
 
 
-def _cmd_fseq_radical(ns, budget):
-    ring = parse_ring(ns.ring)
-    seq = _fseq_arg(ns, ring, budget)
+@command("fseq-radical", "stable radical of the chain",
+         *FSEQ, _opt("--emax", type=_nonnegative_int, default=8))
+def _cmd_fseq_radical(ns, ring, budget):
+    seq = _fseq_arg(ns, ring)
     try:
         rad = fseq_radical_stabilize(seq, ns.emax, budget)
     except Unresolved as exc:
-        partial = (_basis_list(exc.partial, budget)
+        partial = (_basis_list(exc.partial.groebner_basis(budget))
                    if exc.partial is not None else None)
         return ({"radical": "unresolved", "partial": partial},
                 ["radical: unresolved"], [str(exc)])
-    out = _basis_list(rad, budget)
+    out = _basis_list(rad.groebner_basis(budget))
     return {"radical": out}, ["radical: (" + ", ".join(out) + ")"], []
 
 
-def _cmd_ass(ns, budget):
-    ring = parse_ring(ns.ring)
+@command("ass-union", "union of Ass along the chain", *FSEQ)
+def _cmd_ass_union(ns, ring, budget):
+    recs = union_ass_fseq(_fseq_arg(ns, ring), budget)
+    out = [{"prime": list(r.variables), "kind": r.kind, "side": r.side,
+            "first_seen": r.first_seen} for r in recs]
+    lines = [f"{str(r)} first_seen={r.first_seen}" for r in recs]
+    return {"records": out}, lines, []
+
+
+@command("ass", "associated primes (monomial) or depth-zero point test",
+         IDEAL, _opt("--point",
+                     help="comma-separated coordinates of a rational point"))
+def _cmd_ass(ns, ring, budget):
     I = _ideal_arg(ns, ring)
     if ns.point:
         try:
@@ -217,25 +262,17 @@ def _cmd_ass(ns, budget):
     return {"primes": out}, lines, []
 
 
-def _cmd_ass_union(ns, budget):
-    ring = parse_ring(ns.ring)
-    seq = _fseq_arg(ns, ring, budget)
-    recs = union_ass_fseq(seq, budget)
-    out = [{"prime": list(r.variables), "kind": r.kind, "side": r.side,
-            "first_seen": r.first_seen} for r in recs]
-    lines = [f"{str(r)} first_seen={r.first_seen}" for r in recs]
-    return {"records": out}, lines, []
-
-
-def _cmd_depth(ns, budget):
-    ring = parse_ring(ns.ring)
+@command("depth", "depth at the origin",
+         *MODULE, _opt("--no-cross-check", action="store_true"))
+def _cmd_depth(ns, ring, budget):
     M = _module_arg(ns, ring)
     d = depth_at_origin(M, cross_check=not ns.no_cross_check, budget=budget)
     return {"depth": d}, [f"depth at origin: {d}"], []
 
 
-def _cmd_sdepth(ns, budget):
-    ring = parse_ring(ns.ring)
+@command("sdepth", "stabilizing depth", *MODULE, EMAX,
+         _opt("--window", type=_positive_int, default=DEFAULTS["window"]))
+def _cmd_sdepth(ns, ring, budget):
     M = _module_arg(ns, ring)
     rep = sdepth(M, ns.emax, ns.window, budget=budget)
     val = rep.stabilized_value if rep.stabilized_value is not None else "unresolved"
@@ -247,8 +284,10 @@ def _cmd_sdepth(ns, budget):
             lines, unresolved)
 
 
-def _cmd_reg_check(ns, budget):
-    ring = parse_ring(ns.ring)
+@command("reg-check", "per-level regular-sequence check", *MODULE, EMAX,
+         _opt("--elements", required=True,
+              help="sequence to test, e.g. (x+y+z)"))
+def _cmd_reg_check(ns, ring, budget):
     M = _module_arg(ns, ring)
     xs = parse_poly_list(ns.elements, ring.free())
     flags = regular_sequence_check(xs, M, range(ns.emax + 1), budget)
@@ -256,8 +295,9 @@ def _cmd_reg_check(ns, budget):
             [f"regular at e=0..{ns.emax}: {flags}"], [])
 
 
-def _cmd_cdepth_lb(ns, budget):
-    ring = parse_ring(ns.ring)
+@command("cdepth-lb", "all-level regular-sequence bound", *MODULE, EMAX,
+         _opt("--seed", type=int, default=DEFAULTS["seed"]))
+def _cmd_cdepth_lb(ns, ring, budget):
     M = _module_arg(ns, ring)
     rep = cdepth_lower_bound(M, ns.emax, seed=ns.seed, budget=budget)
     lines = [f"lower bound: {rep.bound} "
@@ -267,8 +307,8 @@ def _cmd_cdepth_lb(ns, budget):
              "exhaustive": rep.exhaustive, "seed": rep.seed}, lines, [])
 
 
-def _cmd_kdepth_profile(ns, budget):
-    ring = parse_ring(ns.ring)
+@command("kdepth-profile", "Koszul profiles per level", *MODULE, EMAX)
+def _cmd_kdepth_profile(ns, ring, budget):
     M = _module_arg(ns, ring)
     rep = kdepth_truncation_profile(M, ns.emax, budget=budget)
     profs = [{"e": e, "nonzero_homology": sorted(p.nonzero_homology),
@@ -283,8 +323,13 @@ def _cmd_kdepth_profile(ns, budget):
             lines, unresolved)
 
 
-def _cmd_gamma(ns, budget):
-    ring = parse_ring(ns.ring)
+@command("gamma", "contraction chain of a root-generated ideal",
+         _opt("--roots", required=True,
+              help="root generators '(root(1,x), y)'"),
+         _opt("--levels", type=_nonnegative_int, default=3),
+         _opt("--lift-cap", type=_nonnegative_int,
+              default=DEFAULTS["lift_cap"]))
+def _cmd_gamma(ns, ring, budget):
     text = ns.roots.strip()
     if text.startswith("(") and text.endswith(")"):
         text = text[1:-1]
@@ -307,15 +352,16 @@ def _cmd_gamma(ns, budget):
         rep = gamma_fseq(J, ns.levels, ns.lift_cap, budget)
     except Unresolved as exc:
         return ({"terms": "unresolved"}, ["gamma: unresolved"], [str(exc)])
-    terms = [_basis_list(t, budget) for t in rep.sequence.terms]
+    terms = [_basis_list(t.groebner_basis(budget)) for t in rep.sequence.terms]
     lines = [f"J_{e} = (" + ", ".join(t) + ")" for e, t in enumerate(terms)]
     lines.append(f"f-sequence verified: {rep.verified}")
     return ({"terms": terms, "verified": rep.verified,
              "levels_used": list(rep.levels_used)}, lines, [])
 
 
-def _cmd_member_inf(ns, budget):
-    ring = parse_ring(ns.ring)
+@command("member-inf", "membership in the extension-contraction of an ideal",
+         _opt("--poly", required=True), IDEAL, EMAX)
+def _cmd_member_inf(ns, ring, budget):
     f = parse_poly(ns.poly, ring.free())
     ans = extended_ideal_membership(f, _ideal_arg(ns, ring), ns.emax, budget)
     val = "unresolved" if ans is None else ans
@@ -323,8 +369,9 @@ def _cmd_member_inf(ns, budget):
     return {"member": val}, [f"member of the extension-contraction: {val}"], unresolved
 
 
-def _cmd_prime_check(ns, budget):
-    ring = parse_ring(ns.ring)
+@command("prime-check", "spectrum homeomorphism evidence for a prime",
+         IDEAL, _opt("--levels", type=_positive_int, default=3))
+def _cmd_prime_check(ns, ring, budget):
     P = _ideal_arg(ns, ring)
     rep = prime_extension_check(P, ns.levels, budget)
     levels = [{"level": rec.level, "radical_ok": rec.radical_ok,
@@ -334,18 +381,6 @@ def _cmd_prime_check(ns, budget):
              f"{'pass' if rec['passed'] else 'FAIL'}" for rec in levels]
     lines.append(f"overall: {'pass' if rep.passed else 'FAIL'}")
     return {"levels": levels, "passed": rep.passed}, lines, []
-
-
-HANDLERS = {
-    "gb": _cmd_gb, "colon": _cmd_colon, "frobpow": _cmd_frobpow,
-    "frobpre": _cmd_frobpre, "closure": _cmd_closure, "closed": _cmd_closed,
-    "fedder": _cmd_fedder, "fseq-verify": _cmd_fseq_verify,
-    "fseq-radical": _cmd_fseq_radical, "ass": _cmd_ass,
-    "ass-union": _cmd_ass_union, "depth": _cmd_depth, "sdepth": _cmd_sdepth,
-    "reg-check": _cmd_reg_check, "cdepth-lb": _cmd_cdepth_lb,
-    "kdepth-profile": _cmd_kdepth_profile, "gamma": _cmd_gamma,
-    "member-inf": _cmd_member_inf, "prime-check": _cmd_prime_check,
-}
 
 
 def _build_parser():
@@ -359,103 +394,14 @@ def _build_parser():
                         default=DEFAULTS["budget"],
                         help="reduction-step budget")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
-        return p
-
-    ring_opt = dict(required=True, help="ring text, e.g. F_2[x,y]/(x*y)")
-    ideal_opt = dict(required=True, help="ideal text, e.g. (x, y^2)")
-
-    p = add("gb", help="reduced Groebner basis")
-    p.add_argument("--ring", **ring_opt)
-    p.add_argument("--ideal", **ideal_opt)
-    p.add_argument("--order", help="lex | grevlex | block:k")
-
-    p = add("colon", help="ideal quotient (I : J)")
-    p.add_argument("--ring", **ring_opt)
-    p.add_argument("--ideal", **ideal_opt)
-    p.add_argument("--by", required=True, help="the divisor ideal J")
-
-    for name, helptext in (("frobpow", "bracket power J^[p^e]"),
-                           ("frobpre", "preimage under the e-th Frobenius")):
-        p = add(name, help=helptext)
-        p.add_argument("--ring", **ring_opt)
-        p.add_argument("--ideal", **ideal_opt)
-        p.add_argument("--e", type=_nonnegative_int, default=1)
-
-    for name, helptext in (("closure", "Frobenius closure"),
-                           ("closed", "is the ideal Frobenius closed?")):
-        p = add(name, help=helptext)
-        p.add_argument("--ring", **ring_opt)
-        p.add_argument("--ideal", **ideal_opt)
-        p.add_argument("--emax", type=_nonnegative_int, default=DEFAULTS["e_max"])
-
-    p = add("fedder", help="F-purity of a quotient ring")
-    p.add_argument("--ring", **ring_opt)
-    p.add_argument("--max-ideal", help="maximal ideal generators (default: variables)")
-
-    for name in ("fseq-verify", "fseq-radical", "ass-union"):
-        p = add(name, help={"fseq-verify": "check the defining property",
-                            "fseq-radical": "stable radical of the chain",
-                            "ass-union": "union of Ass along the chain"}[name])
-        p.add_argument("--ring", **ring_opt)
-        p.add_argument("--family", choices=("bracket", "constant", "list"),
-                       default="bracket")
-        p.add_argument("--ideal", help="base ideal for bracket/constant families")
-        p.add_argument("--levels", type=_nonnegative_int,
-                       default=DEFAULTS["e_max"])
-        p.add_argument("--terms", help="explicit terms '(..);(..);..' for --family list")
-        if name == "fseq-radical":
-            p.add_argument("--emax", type=_nonnegative_int, default=8)
-
-    p = add("ass", help="associated primes (monomial) or depth-zero point test")
-    p.add_argument("--ring", **ring_opt)
-    p.add_argument("--ideal", **ideal_opt)
-    p.add_argument("--point", help="comma-separated coordinates of a rational point")
-
-    for name in ("depth", "sdepth", "reg-check", "cdepth-lb", "kdepth-profile"):
-        p = add(name, help={"depth": "depth at the origin",
-                            "sdepth": "stabilizing depth",
-                            "reg-check": "per-level regular-sequence check",
-                            "cdepth-lb": "all-level regular-sequence bound",
-                            "kdepth-profile": "Koszul profiles per level"}[name])
-        p.add_argument("--ring", **ring_opt)
-        p.add_argument("--ideal", help="cyclic module R/I")
-        p.add_argument("--matrix", help="presentation matrix '[a, b; c, d]'")
-        if name == "depth":
-            p.add_argument("--no-cross-check", action="store_true")
-        if name in ("sdepth", "reg-check", "cdepth-lb", "kdepth-profile"):
-            p.add_argument("--emax", type=_nonnegative_int, default=DEFAULTS["e_max"])
-        if name == "sdepth":
-            p.add_argument("--window", type=_positive_int,
-                           default=DEFAULTS["window"])
-        if name == "cdepth-lb":
-            p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
-        if name == "reg-check":
-            p.add_argument("--elements", required=True,
-                           help="sequence to test, e.g. (x+y+z)")
-
-    p = add("gamma", help="contraction chain of a root-generated ideal")
-    p.add_argument("--ring", **ring_opt)
-    p.add_argument("--roots", required=True,
-                   help="root generators '(root(1,x), y)'")
-    p.add_argument("--levels", type=_nonnegative_int, default=3)
-    p.add_argument("--lift-cap", type=_nonnegative_int,
-                   default=DEFAULTS["lift_cap"])
-
-    p = add("member-inf", help="membership in the extension-contraction of an ideal")
-    p.add_argument("--ring", **ring_opt)
-    p.add_argument("--poly", required=True)
-    p.add_argument("--ideal", **ideal_opt)
-    p.add_argument("--emax", type=_nonnegative_int, default=DEFAULTS["e_max"])
-
-    p = add("prime-check", help="spectrum homeomorphism evidence for a prime")
-    p.add_argument("--ring", **ring_opt)
-    p.add_argument("--ideal", **ideal_opt)
-    p.add_argument("--levels", type=_positive_int, default=3)
-
-    p = add("verify", help="run a named verification suite")
+    for name, (_, helptext, options) in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=helptext)
+        p.add_argument("--ring", required=True,
+                       help="ring text, e.g. F_2[x,y]/(x*y)")
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+    p = sub.add_parser("verify", parents=[common],
+                       help="run a named verification suite")
     p.add_argument("suite", choices=sorted(set(SUITE_NAMES) | set(SUITE_ALIASES)))
     p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     p.add_argument("--count", type=_nonnegative_int, default=20)
@@ -492,8 +438,9 @@ def main(argv=None):
         return report.exit_code
 
     budget = Budget(ns.budget)
+    handler = COMMANDS[ns.command][0]
     try:
-        result, lines, unresolved = HANDLERS[ns.command](ns, budget)
+        result, lines, unresolved = handler(ns, parse_ring(ns.ring), budget)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -256,67 +256,49 @@ def regular_sequence_check(xs, M, e_range, budget=None):
 
 MAX_EXHAUSTIVE_LINEAR = 512
 MAX_EXHAUSTIVE_QUADRATIC = 4096
+SAMPLED_POOL = 512   # <= both caps, so a sampled space has this many forms
 
 
 def _normalized_vectors(p, length):
     """Nonzero coefficient vectors with first nonzero entry 1 (one
     representative per scalar class), in lexicographic order."""
-    for vec in itertools.product(range(p), repeat=length):
-        if not any(vec):
-            continue
-        first = next(v for v in vec if v)
-        if first != 1:
-            continue
-        yield vec
+    for zeros in range(length - 1, -1, -1):
+        for tail in itertools.product(range(p), repeat=length - 1 - zeros):
+            yield (0,) * zeros + (1,) + tail
 
 
-def _forms(ring, monos, limit, seed, trials):
-    """Forms sum c_i * monos[i]: every one up to scalar when p^len(monos) <=
-    limit, else up to `trials` distinct seeded random coefficient vectors.
-    Returns (forms, exhaustive)."""
+def _forms(ring, degree, limit, seed):
+    """Forms sum c_i * m_i over the monomials m_i of the degree: every one
+    up to scalar when p^#monomials <= limit, else SAMPLED_POOL distinct
+    seeded random coefficient vectors.  Returns (forms, exhaustive)."""
+    n = ring.nvars
+    monos = [tuple(c.count(k) for k in range(n)) for c in
+             itertools.combinations_with_replacement(range(n), degree)]
     p, m = ring.p, len(monos)
     if p ** m <= limit:
         vecs, exhaustive = _normalized_vectors(p, m), True
     else:
         rng = random.Random(seed)
-        vecs, seen = [], set()
-        for _ in range(50 * trials):
-            if len(vecs) == trials:
-                break
+        vecs = {}   # insertion-ordered: the first draw of each vector
+        while len(vecs) < SAMPLED_POOL:
             vec = tuple(rng.randrange(p) for _ in range(m))
-            if any(vec) and vec not in seen:
-                seen.add(vec)
-                vecs.append(vec)
+            if any(vec):
+                vecs[vec] = None
         exhaustive = False
-    forms = []
-    for vec in vecs:
-        f = ring.zero()
-        for c, mono in zip(vec, monos):
-            if c:
-                f = f + c * mono
-        forms.append(f)
-    return forms, exhaustive
+    return [ring.from_dict(dict(zip(monos, vec))) for vec in vecs], exhaustive
 
 
-def linear_candidates(ring, seed=0, trials=512):
+def linear_candidates(ring, seed=0):
     """All linear forms up to scalar when p^n is small, else a seeded random
     sample.  Returns (forms, exhaustive)."""
-    return _forms(ring, ring.gens(), MAX_EXHAUSTIVE_LINEAR, seed, trials)
+    return _forms(ring, 1, MAX_EXHAUSTIVE_LINEAR, seed)
 
 
-def quadratic_candidates(ring, seed=0, trials=256):
+def quadratic_candidates(ring, seed=0):
     """Homogeneous degree-2 forms, exhaustive for small coefficient spaces.
     Finite fields can lack linear regular elements, so depth searches fall
     back to these."""
-    n = ring.nvars
-    monos = []
-    for i in range(n):
-        for j in range(i, n):
-            exps = [0] * n
-            exps[i] += 1
-            exps[j] += 1
-            monos.append(ring.monomial(exps))
-    return _forms(ring, monos, MAX_EXHAUSTIVE_QUADRATIC, seed, trials)
+    return _forms(ring, 2, MAX_EXHAUSTIVE_QUADRATIC, seed)
 
 
 @dataclass
@@ -350,7 +332,7 @@ def _dimension_zero(levels, rank, ring, budget):
     return False
 
 
-def _greedy_search(M, e_max, seed, trials, budget):
+def _greedy_search(M, e_max, seed, budget):
     """Grow a sequence greedily: the next element is the first pool form
     (linear forms, then homogeneous quadratics) regular on F^e(M) for every
     e <= e_max, modulo the elements already chosen.  A round starts with
@@ -376,8 +358,8 @@ def _greedy_search(M, e_max, seed, trials, budget):
         if _dimension_zero(levels, rank, free, budget):
             return DepthSearchReport(len(witness), tuple(witness), True, seed)
         if pools is None:  # once per search, and only if a round needs them
-            pools = [linear_candidates(free, seed, trials),
-                     quadratic_candidates(free, seed, trials)]
+            pools = [linear_candidates(free, seed),
+                     quadratic_candidates(free, seed)]
         found = None
         for forms, full in pools:
             if not full:
@@ -396,11 +378,11 @@ def _greedy_search(M, e_max, seed, trials, budget):
                   for cols in levels]
 
 
-def classical_depth_search(M, seed=0, trials=512, budget=None):
+def classical_depth_search(M, seed=0, budget=None):
     """Greedy search for a regular sequence on M among linear forms, then
     homogeneous quadratics.  Returns a lower bound for depth with a
     witness."""
-    return _greedy_search(M, 0, seed, trials, budget)
+    return _greedy_search(M, 0, seed, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +426,11 @@ def sdepth(M, e_max=4, window=2, cross_check=True, budget=None):
     return SdepthReport(per_e, stabilized, window, f_pure, monotone)
 
 
-def cdepth_lower_bound(M, e_max=4, seed=0, trials=512, budget=None):
+def cdepth_lower_bound(M, e_max=4, seed=0, budget=None):
     """Longest sequence found that is regular on F^e(M) for every e <= e_max
     simultaneously; bounds the classical depth of the perfect-closure base
     change from below."""
-    return _greedy_search(M, e_max, seed, trials, budget)
+    return _greedy_search(M, e_max, seed, budget)
 
 
 @dataclass
@@ -468,11 +450,12 @@ class KdepthReport:
                 and self.stable_kgrade == self.sdepth_value)
 
 
-def kdepth_truncation_profile(M, e_max=4, window=2, budget=None):
+def kdepth_truncation_profile(M, e_max=4, budget=None):
     """Per-level Koszul profiles plus whether the nonzero-homology pattern
     is eventually constant with grade equal to the stabilizing depth.  No
     homology at level 0 means M_m = 0 (F^e keeps it): a ValueError."""
     budget = Budget.ensure(budget)
+    window = 2   # sdepth's default
     free = M.ring.free()
     xs = list(free.gens())
     profiles = [kgrade(xs, frobenius_functor(M, e), budget)

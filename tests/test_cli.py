@@ -1,12 +1,14 @@
 """Command-line interface: dispatch, structured output, exit codes."""
 
 import json
+import pathlib
+import random
 
 import pytest
 
 from charp import verify
 from charp.budget import InternalInvariantError
-from charp.cli import main
+from charp.cli import COMMANDS, main
 
 
 def run(capsys, *argv):
@@ -278,6 +280,16 @@ class TestExitCodes:
             assert "input error: module vanishes at the origin" in err, \
                 (command, ideal)
 
+    @pytest.mark.parametrize("family", ["bracket", "constant"])
+    @pytest.mark.parametrize("command", ["fseq-verify", "fseq-radical",
+                                         "ass-union"])
+    def test_chain_without_ideal_is_a_parse_error(self, capsys, command,
+                                                   family):
+        code, out, err = run(capsys, command, "--ring", "F_2[x,y]",
+                             "--family", family)
+        assert code == 2 and out == ""
+        assert f"parse error: --family {family} needs --ideal" in err
+
     def test_unknown_order_is_a_parse_error(self, capsys):
         code, _, err = run(capsys, "gb", "--ring", "F_2[x]", "--ideal", "(x)",
                            "--order", "revlex")
@@ -333,3 +345,99 @@ class TestVerifySuites:
         assert code == 1
         assert "[FAIL] broken: raises (engines disagree)" in out
         assert f"total={total} pass={total - 1} fail=1" in out
+
+
+def test_readme_lists_every_command():
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
+    assert sorted(block.split()) == sorted([*COMMANDS, "verify"])
+
+
+# One pool of values per flag, valid and invalid alike; None is a bare flag.
+FUZZ_POOLS = {
+    "--ring": ["F_2[x,y]", "F_3[x,y,z]", "F_2[x,y,z]/(x*y)",
+               "F_3[x,y]/(x^2 - y^3)", "F_2[x,y]/(x + 1)", "F_2[x,y]/(1)",
+               "F_4[x,y]", "F_2[x,x]", "F_5[x,y]"],
+    "--ideal": ["(x)", "(x*y, x^2)", "(x, y)", "(x^2 + y^2, x*y)", "(1)",
+                "(0)", "(x + 1)", "(x*z, y)", "(x*y",
+                "(x^3*y + y^2 + x, x*y^3 + x^2 + y)"],
+    "--matrix": ["[x, 0; 0, x^2]", "[x, y; y, x]", "[x*y]", "[1, 0]",
+                 "[x, y; x]"],
+    "--by": ["(x)", "(y, x + y)", "(1)", "(0)"],
+    "--order": ["lex", "grevlex", "block:1", "revlex"],
+    "--e": ["0", "1", "2", "70", "-1"],
+    "--emax": ["0", "1", "2", "-1"],
+    "--max-ideal": ["(x, y)", "(x - 1, y)", "(x*y)", "(1)"],
+    "--family": ["bracket", "constant", "list"],
+    "--levels": ["0", "1", "2", "-1"],
+    "--terms": ["(x, y);(x, y^2)", "(x);(x^2);(x^4)", "(y);(x)", ""],
+    "--point": ["0,0", "1,0", "0", "a,b"],
+    "--no-cross-check": [None],
+    "--window": ["1", "2", "0"],
+    "--elements": ["(x)", "(x + y)", "(y, x)", "(1)", "(x^)"],
+    "--seed": ["0", "3", "-2"],
+    "--roots": ["(root(1,x), y)", "(root(2, x + y))", "(x)", "(root(1,x)"],
+    "--lift-cap": ["0", "3", "-1"],
+    "--poly": ["x", "x + y", "1", "x^"],
+}
+
+
+def _fuzz_argv(rng, name):
+    """argv for one call of `name`: each flag, --ring included, is drawn
+    with probability 0.9 from its pool, so required flags go missing too."""
+    argv = [name]
+    options = [("--ring", None)] + list(COMMANDS[name][2])
+    for flag, _ in options:
+        if rng.random() < 0.9:
+            value = rng.choice(FUZZ_POOLS[flag])
+            argv += [flag] if value is None else [flag, value]
+    return argv + ["--budget", "3000"] + (["--json"] if rng.random() < 0.5
+                                          else [])
+
+
+def _json_result(capsys, *argv):
+    code, out, _ = run(capsys, *argv, "--budget", "3000", "--json")
+    return json.loads(out)["result"] if code == 0 else None
+
+
+def test_fuzzed_calls_end_in_a_documented_exit_code(capsys):
+    flags = {flag for _, _, options in COMMANDS.values()
+             for flag, _ in options}
+    assert flags | {"--ring"} <= set(FUZZ_POOLS), "a flag has no fuzz pool"
+    rng = random.Random("cli-fuzz")
+    names = sorted(COMMANDS)
+    seen, codes = set(), set()
+    for _ in range(400):
+        argv = _fuzz_argv(rng, rng.choice(names))
+        try:
+            code = main(argv)
+        except Exception as exc:  # report the input, not just the traceback
+            pytest.fail(f"{argv} raised {exc!r}")
+        capsys.readouterr()
+        assert code in (0, 2, 3, 5), argv
+        seen.add(argv[0])
+        codes.add(code)
+    assert seen == set(names) and {0, 2, 5} <= codes
+    # depth agrees with sdepth's level 0, cdepth-lb --emax 0 and gb
+    agreed = 0
+    for _ in range(30):
+        ring = rng.choice(FUZZ_POOLS["--ring"])
+        ideal = rng.choice(FUZZ_POOLS["--ideal"])
+        base = ("--ring", ring, "--ideal", ideal)
+        depth = _json_result(capsys, "depth", *base)
+        if depth is None:
+            continue
+        depth = depth["depth"]
+        sdepth = _json_result(capsys, "sdepth", *base, "--emax", "0")
+        if sdepth is not None:
+            assert sdepth["per_e_depth"][0] == [0, depth], base
+        bound = _json_result(capsys, "cdepth-lb", *base, "--emax", "0")
+        if bound is not None:
+            assert bound["bound"] <= depth, base
+        gb = _json_result(capsys, "gb", *base)
+        assert gb is not None, base
+        again = _json_result(capsys, "gb", "--ring", ring,
+                             "--ideal", "(" + ", ".join(gb["basis"]) + ")")
+        assert again == gb, base
+        agreed += 1
+    assert agreed >= 5

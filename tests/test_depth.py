@@ -1,5 +1,6 @@
 """Koszul homology, depth, the Frobenius functor, and the comparison chain."""
 
+import itertools
 import random
 
 import pytest
@@ -11,8 +12,8 @@ from charp import (Ideal, ModulePresentation, cdepth_lower_bound,
                    regular_sequence_check, sdepth)
 from charp import depth as depth_mod
 from charp.budget import Budget
-from charp.depth import (_kron, _regular_by_hilbert, _regular_by_syzygies,
-                         is_regular_element, linear_candidates)
+from charp.depth import (_kron, _normalized_vectors, _regular_by_hilbert,
+                         _regular_by_syzygies, is_regular_element)
 from charp.modules import diagonal_columns, row_degrees
 from charp.verify import random_form, random_graded_module
 
@@ -137,11 +138,12 @@ class TestClassicalSearch:
         field = ModulePresentation.cyclic(R2xyz, list(R2xyz.gens()))
         assert classical_depth_search(field).bound == 0 and calls == []
 
-    def test_sampled_pool_larger_than_the_space_ends(self):
-        # 2^10 - 1 nonzero linear forms cannot fill 2000 trials
-        R = parse_ring("F_2[a,b,c,d,e,f,g,h,i,j]")
-        forms, exhaustive = linear_candidates(R, trials=2000)
-        assert len(forms) == 2 ** 10 - 1 and not exhaustive
+    @pytest.mark.parametrize("p, length", [(2, 1), (2, 4), (3, 3), (5, 2)])
+    def test_normalized_vectors_filter_the_whole_space(self, p, length):
+        # the reference: every nonzero vector whose first nonzero entry is 1
+        space = itertools.product(range(p), repeat=length)
+        expected = [v for v in space if any(v) and next(c for c in v if c) == 1]
+        assert list(_normalized_vectors(p, length)) == expected
 
 
 class TestRegularElementRoutes:
@@ -241,8 +243,8 @@ class TestDimStop:
         R = parse_ring("F_3[x,y,z,w,v,u]")
         M = ModulePresentation.cyclic(R, [R.poly(t) for t in
                                           ("x", "y", "z", "w", "v^2")])
-        for rep in (classical_depth_search(M, trials=20),
-                    cdepth_lower_bound(M, e_max=1, trials=20)):
+        for rep in (classical_depth_search(M),
+                    cdepth_lower_bound(M, e_max=1)):
             assert rep.bound == 1 and rep.exhaustive
             assert str(rep.witness[0]) == "x + y + w + 2*v + u"
 
