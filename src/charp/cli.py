@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .assoc import ass_monomial, maximal_in_ass, union_ass_fseq
 from .budget import Budget, BudgetExceeded, InternalInvariantError, Unresolved
@@ -383,7 +384,10 @@ def _cmd_prime_check(ns, ring, budget):
     return {"levels": levels, "passed": rep.passed}, lines, []
 
 
+@cache
 def _build_parser():
+    """The argparse tree of every command, built once per process: parsing
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="charp",
         description="exact characteristic-p commutative algebra")

@@ -52,14 +52,19 @@ def _preimage_step(gens, free, budget):
 
 def frobenius_preimage(J, e, budget=None):
     """{r : r^{p^e} in J}, with quotient inputs lifted by the quotient
-    ideal.  Computed by iterating the single-step preimage."""
+    ideal.  Computed by iterating the single-step preimage, which is
+    deterministic: once a step returns its own input generators, every
+    later step would too, so the iteration stops there."""
     if e < 0:
         raise ValueError("e must be >= 0")
     budget = Budget.ensure(budget)
     free = J.ring.free()
     gens = list(J.lifted_gens())
     for _ in range(e):
-        gens = _preimage_step(gens, free, budget)
+        step = _preimage_step(gens, free, budget)
+        if step == gens:
+            break
+        gens = step
     return Ideal(J.ring, gens)
 
 

@@ -41,6 +41,8 @@ class RootElement:
         if level < 0:
             raise ValueError("root level must be >= 0")
         if not ring.is_quotient:
+            if body.is_constant:
+                level = 0     # a constant of F_p is its own p-th root
             while level > 0:
                 root = body.pth_root(1)
                 if root is None:
@@ -250,9 +252,11 @@ def prime_extension_check(P, q_levels=3, budget=None):
     each truncation level the extension of P has radical exactly the renamed
     P, contracts back to P, and containments among sample primes are
     preserved both ways."""
+    if P.ring.is_quotient:
+        raise ValueError("prime_extension_check runs over the free ring")
     budget = Budget.ensure(budget)
-    ring = P.ring.free()
-    base = Ideal(ring, [g.transported(ring) for g in P.gens])
+    ring = P.ring
+    base = Ideal(ring, P.gens)
     if not _certify_prime(base, budget):
         raise ValueError("prime_extension_check needs a monomial or linear prime")
     samples = _monomial_primes(ring)

@@ -14,6 +14,7 @@ identity on F_p, which keeps every Frobenius computation exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add, le, sub
 
 # Frobenius powers scale exponents by p^e.  Exponents past this guard abort
@@ -79,15 +80,22 @@ def minimal_monomials(monos, key=None):
 # ---------------------------------------------------------------------------
 # monomial orders
 #
-# An order's `slots` counts the leading exponent slots that hold a module
-# position rather than a variable (see POT); the ideal orders have none.
-# `key` ranks monomials ascending; `heap_key` is a flat tuple whose plain
-# ascending order is the descending order of `key`, so a min-heap or an
-# ascending sort on it yields the largest monomial first.  `weight_rows(n)`
-# gives the order as a 0/1 weight matrix on exponent tuples of length n:
-# comparing the row sums lexicographically is comparing `key`, and the row
-# sums of a product are the sums of the factors' row sums (the groebner
-# engine packs them into one int per term).
+# Every monomial order is a weight-matrix order (Robbiano, EUROCAL '85):
+# an order class gives only `weight_rows(n)`, a 0/1 matrix on exponent
+# tuples of length n, and `key` ranks monomials by their row sums.  The
+# groebner engine packs the same row sums into one int per term.  `slots`
+# counts the leading exponent slots that hold a module position rather
+# than a variable (see POT).
+
+
+@lru_cache(maxsize=256)
+def _row_sums(order, n):
+    """`order.weight_rows(n)` compiled to one function from an exponent
+    tuple e to its row sums (grevlex in two variables: `lambda e: (e[0] +
+    e[1], e[0], )`), since every sort of terms calls it once per term."""
+    sums = ((" + ".join(f"e[{i}]" for i, w in enumerate(row) if w) or "0")
+            + ", " for row in order.weight_rows(n))
+    return eval(f"lambda e: ({''.join(sums)})")
 
 
 def _grevlex_rows(lo, hi, n):
@@ -97,63 +105,47 @@ def _grevlex_rows(lo, hi, n):
             for top in range(hi, lo, -1)]
 
 
-@dataclass(frozen=True)
-class Lex:
-    """Pure lexicographic order on exponent tuples."""
+class _WeightOrder:
+    """An order given by its `weight_rows`, all a subclass defines."""
 
-    name = "lex"
     slots = 0
 
     def key(self, exps):
-        return exps
+        """The row sums of exps: comparing keys is comparing monomials."""
+        return _row_sums(self, len(exps))(exps)
 
-    def heap_key(self, exps):
-        return tuple(-e for e in exps)
+
+@dataclass(frozen=True)
+class Lex(_WeightOrder):
+    """Pure lexicographic order on exponent tuples."""
+
+    name = "lex"
 
     def weight_rows(self, n):
         return [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
 
 
 @dataclass(frozen=True)
-class GRevLex:
+class GRevLex(_WeightOrder):
     """Graded reverse lexicographic order (the default)."""
 
     name = "grevlex"
-    slots = 0
-
-    def key(self, exps):
-        return (sum(exps), tuple(-e for e in reversed(exps)))
-
-    def heap_key(self, exps):
-        return (-sum(exps),) + exps[::-1]
 
     def weight_rows(self, n):
         return _grevlex_rows(0, n, n)
 
 
 @dataclass(frozen=True)
-class Block:
+class Block(_WeightOrder):
     """Elimination order: grevlex on the first k variables, then grevlex on
     the rest.  Any monomial touching the first block beats any that does not,
     which is exactly what elimination needs."""
 
     k: int
-    slots = 0
 
     @property
     def name(self):
         return f"block{self.k}"
-
-    def key(self, exps):
-        head, tail = exps[: self.k], exps[self.k:]
-        return (
-            (sum(head), tuple(-e for e in reversed(head))),
-            (sum(tail), tuple(-e for e in reversed(tail))),
-        )
-
-    def heap_key(self, exps):
-        head, tail = exps[: self.k], exps[self.k:]
-        return (-sum(head),) + head[::-1] + (-sum(tail),) + tail[::-1]
 
     def weight_rows(self, n):
         k = min(self.k, n)
@@ -161,7 +153,7 @@ class Block:
 
 
 @dataclass(frozen=True)
-class POT:
+class POT(_WeightOrder):
     """Position-over-term order on module terms.  The term e_i*x^a of a free
     module of rank `rank` is the exponent tuple (i, rank - i) + a: lower
     positions win, then `base` decides.  With the two position slots,
@@ -176,12 +168,6 @@ class POT:
     @property
     def name(self):
         return f"pot{self.rank}:{self.base.name}"
-
-    def key(self, exps):
-        return (-exps[0], self.base.key(exps[2:]))
-
-    def heap_key(self, exps):
-        return (exps[0],) + self.base.heap_key(exps[2:])
 
     def weight_rows(self, n):
         """The slot rank - i (lower positions win), then the base rows."""
@@ -333,15 +319,13 @@ class Ring:
         return Polynomial(self, ((exps, coeff),))
 
     def from_dict(self, d):
-        """Canonicalize {exponent tuple: int} into a Polynomial."""
-        items = []
-        for m, c in d.items():
-            c %= self.p
-            if c:
-                items.append((m, c))
-        hkey = self.order.heap_key
-        items.sort(key=lambda mc: hkey(mc[0]))
-        return Polynomial(self, tuple(items))
+        """Canonicalize {exponent tuple: int} into a Polynomial, its terms
+        sorted largest first by the order's `key`."""
+        p = self.p
+        terms = {m: r for m, c in d.items() if (r := c % p)}
+        key = _row_sums(self.order, self.nvars)
+        return Polynomial(self, tuple(
+            (m, terms[m]) for m in sorted(terms, key=key, reverse=True)))
 
     def poly(self, text):
         from .parse import parse_poly
@@ -521,10 +505,14 @@ class Polynomial:
         coefficients are fixed by the Frobenius."""
         if e < 0:
             raise ValueError("e must be >= 0")
-        if e == 0 or not self.terms:
+        if e == 0 or self.is_constant:
             return self
-        q = self.ring.p ** e
-        top = max((max(m) for m, _ in self.terms), default=0)
+        p, top = self.ring.p, max(max(m) for m, _ in self.terms)
+        # top >= 1 and p >= 2, so once 2^e > EXPONENT_LIMIT, p^e alone passes
+        # the guard: raise before forming a q of about e digits
+        if e >= EXPONENT_LIMIT.bit_length():
+            raise ExponentOverflow(f"exponent {top}*{p}^{e} exceeds guard")
+        q = p ** e
         if top * q > EXPONENT_LIMIT:
             raise ExponentOverflow(f"exponent {top}*{q} exceeds guard")
         return Polynomial(self.ring,

@@ -3,6 +3,7 @@
 import json
 import pathlib
 import random
+import time
 
 import pytest
 
@@ -178,6 +179,21 @@ class TestExitCodes:
         assert code == 5
         assert out == "" and err.startswith("input error:")
         assert "Traceback" not in err
+
+    def test_huge_frobenius_level_is_an_input_error(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "frobpow", "--ring", "F_2[x,y]",
+                             "--ideal", "(x)", "--e", "1000000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 5 and out == ""
+        assert "input error: exponent 1*2^1000000000 exceeds guard" in err
+
+    def test_prime_check_over_a_quotient_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, "prime-check", "--ring", "F_2[x,y]/(1)",
+                             "--ideal", "(x)")
+        assert code == 5 and out == ""
+        assert "input error: prime_extension_check runs over the free ring" \
+            in err
 
     def test_vanishing_module_is_an_input_error(self, capsys):
         code, _, err = run(capsys, "depth", "--ring", "F_2[x,y]",
@@ -365,7 +381,7 @@ FUZZ_POOLS = {
                  "[x, y; x]"],
     "--by": ["(x)", "(y, x + y)", "(1)", "(0)"],
     "--order": ["lex", "grevlex", "block:1", "revlex"],
-    "--e": ["0", "1", "2", "70", "-1"],
+    "--e": ["0", "1", "2", "70", "-1", "1000000000"],
     "--emax": ["0", "1", "2", "-1"],
     "--max-ideal": ["(x, y)", "(x - 1, y)", "(x*y)", "(1)"],
     "--family": ["bracket", "constant", "list"],
@@ -376,7 +392,8 @@ FUZZ_POOLS = {
     "--window": ["1", "2", "0"],
     "--elements": ["(x)", "(x + y)", "(y, x)", "(1)", "(x^)"],
     "--seed": ["0", "3", "-2"],
-    "--roots": ["(root(1,x), y)", "(root(2, x + y))", "(x)", "(root(1,x)"],
+    "--roots": ["(root(1,x), y)", "(root(2, x + y))", "(x)", "(root(1,x)",
+                "(root(1000000000000, 1), y)"],
     "--lift-cap": ["0", "3", "-1"],
     "--poly": ["x", "x + y", "1", "x^"],
 }

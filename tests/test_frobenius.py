@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charp import (FSequence, Ideal, fedder_f_pure, frobenius_closure,
-                   frobenius_power, frobenius_preimage,
+from charp import (Budget, FSequence, Ideal, fedder_f_pure, frobenius,
+                   frobenius_closure, frobenius_power, frobenius_preimage,
                    fseq_radical_stabilize, fseq_verify, is_frobenius_closed,
                    parse_ring)
 
@@ -48,6 +48,21 @@ class TestFrobeniusPreimage:
     def test_unit_ideal(self):
         R = parse_ring("F_2[x]")
         assert frobenius_preimage(Ideal(R, ["1"]), 2).is_unit
+
+    def test_iteration_stops_at_a_fixed_point(self, R2xy, monkeypatch):
+        steps = []
+        step = frobenius._preimage_step
+        monkeypatch.setattr(frobenius, "_preimage_step",
+                            lambda *args: steps.append(1) or step(*args))
+        # the monomial shortcut: (x^3, y) -> (x^2, y) -> (x, y) -> (x, y)
+        pre = frobenius_preimage(Ideal(R2xy, ["x^3", "y"]), 10 ** 5)
+        assert pre.equal(Ideal(R2xy, ["x", "y"])) and len(steps) == 3
+        # a prime is its own preimage: the later levels cost no budget
+        J = Ideal(R2xy, ["x^3 + y^5"])
+        one, many = Budget(10 ** 6), Budget(10 ** 6)
+        assert frobenius_preimage(J, 1, one).equal(J)
+        assert frobenius_preimage(J, 50, many).equal(J)
+        assert many.used == one.used > 0
 
     def test_brute_force_agreement_nonmonomial(self, R2xy):
         J = Ideal(R2xy, ["x^2 + x*y^2"])

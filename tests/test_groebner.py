@@ -9,6 +9,7 @@ and preimage/colon identities against brute-force enumeration.
 import json
 import random
 import runpy
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -25,8 +26,23 @@ from charp.ring import (EXPONENT_LIMIT, POT, mono_div, mono_divides,
                         mono_mul)
 from charp.verify import brute_force_member, random_poly
 
-ORDERS = [Lex(), GRevLex(), Block(1), Block(2), POT(2, GRevLex()),
+ORDERS = [Lex(), GRevLex(), Block(1), Block(2), Block(5), POT(2, GRevLex()),
           POT(3, Lex())]
+
+
+def _textbook_key(order, exps):
+    """Each order in its textbook form, ascending, independent of its
+    `weight_rows`: the reference that the derived `key` and the packing
+    are checked against."""
+    if isinstance(order, Lex):
+        return exps
+    if isinstance(order, GRevLex):
+        return (sum(exps), tuple(-e for e in reversed(exps)))
+    if isinstance(order, Block):
+        head, tail = exps[: order.k], exps[order.k:]
+        return (_textbook_key(GRevLex(), head), _textbook_key(GRevLex(), tail))
+    assert isinstance(order, POT)
+    return (-exps[0], _textbook_key(order.base, exps[2:]))
 
 
 class TestBasis:
@@ -213,10 +229,11 @@ class TestMembershipOracle:
 
 def _maxscan_nf(work, basis, ring, budget):
     """Reference division on exponent tuples: rescan every pending term for
-    the largest one under `key` at every step, and reduce it by the first
-    monic reducer (lm, terms) whose leading monomial divides it."""
+    the largest one under the textbook order at every step, and reduce it
+    by the first monic reducer (lm, terms) whose leading monomial divides
+    it."""
     p = ring.p
-    key = ring.order.key
+    key = partial(_textbook_key, ring.order)
     rem = {}
     while work:
         m = max(work, key=key)
@@ -262,8 +279,8 @@ def _random_terms(order, rng, p, count):
 
 
 def _monic_reducer(terms, order, p):
-    """(lm, terms) with terms sorted descending under `key`, lc one."""
-    items = sorted(terms.items(), key=lambda mc: order.key(mc[0]),
+    """(lm, terms) with terms sorted largest first, lc one."""
+    items = sorted(terms.items(), key=lambda mc: _textbook_key(order, mc[0]),
                    reverse=True)
     inv = pow(items[0][1], -1, p)
     return items[0][0], tuple((m, c * inv % p) for m, c in items)
@@ -293,13 +310,6 @@ class TestHeapDivision:
             assert heap_budget.used == scan_budget.used
             steps += heap_budget.used
         assert steps > 0
-
-    def test_heap_key_sorts_descending_by_key(self, order):
-        rng = random.Random(f"heapkey-{order.name}")
-        for _ in range(20):
-            monos = list({_random_mono(order, rng, top=5) for _ in range(30)})
-            assert (sorted(monos, key=order.heap_key)
-                    == sorted(monos, key=order.key, reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +346,25 @@ def _by_order(test):
         settings(max_examples=40, deadline=None)(given(data=st.data())(test)))
 
 
+class TestOrders:
+    @_by_order
+    def test_key_orders_as_the_textbook_key(self, order, data):
+        a, b = data.draw(_monos(order)), data.draw(_monos(order))
+        assert ((order.key(a) < order.key(b))
+                == (_textbook_key(order, a) < _textbook_key(order, b)))
+        assert (order.key(a) == order.key(b)) == (a == b)
+
+    @pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.name)
+    def test_from_dict_sorts_descending_by_textbook_key(self, order):
+        ring = _order_ring(order)
+        rng = random.Random(f"fromdict-{order.name}")
+        for _ in range(20):
+            terms = _random_terms(order, rng, ring.p, 30)
+            assert ([m for m, _ in ring.from_dict(terms).terms]
+                    == sorted(terms, key=partial(_textbook_key, order),
+                              reverse=True))
+
+
 class TestPacking:
     @_by_order
     def test_decode_undoes_encode(self, order, data):
@@ -358,7 +387,7 @@ class TestPacking:
         for margin in (_FIELD_MARGIN, 0):
             pk = _packing_of(order, a, b, margin=margin)
             assert ((pk.encode(a) < pk.encode(b))
-                    == (order.key(a) < order.key(b)))
+                    == (_textbook_key(order, a) < _textbook_key(order, b)))
             assert (pk.encode(a) == pk.encode(b)) == (a == b)
 
     @_by_order

@@ -5,7 +5,7 @@ import pytest
 from charp import (Budget, FSequence, Ideal, PerfectClosureIdeal,
                    RootElement, Unresolved, extended_ideal_membership,
                    frobenius_closure, fseq_to_perfect_ideal, gamma_fseq,
-                   parse_ring, parse_root,
+                   Polynomial, parse_ring, parse_root,
                    prime_extension_check, principal_variable_obstruction,
                    root_equal, zero_closure_cyclic)
 
@@ -41,6 +41,25 @@ class TestRootElements:
         assert root_equal(a, b) and root_equal(b, c) and root_equal(a, c)
         raised = RootElement(R2xy, a.level + 3, a.body.frobenius(3))
         assert root_equal(raised, b)
+
+    def test_constant_body_is_level_zero(self, R2xy, monkeypatch):
+        calls = []
+        pth_root = Polynomial.pth_root
+
+        def counted(self, e):
+            calls.append(e)
+            if len(calls) > 64:
+                raise AssertionError("one p-th root per level")
+            return pth_root(self, e)
+
+        monkeypatch.setattr(Polynomial, "pth_root", counted)
+        for body in ("1", "0"):
+            r = RootElement(R2xy, 10 ** 12, body)
+            assert r.level == 0 and r.body == R2xy.poly(body)
+        # a non-constant body stops once it has no p-th root
+        r = RootElement(R2xy, 10 ** 12, "x^8 + y^4")
+        assert r.level == 10 ** 12 - 2 and r.body == R2xy.poly("x^2 + y")
+        assert len(calls) == 3
 
     def test_parse_root_syntax(self, R2xy):
         r = parse_root("root(2, x + y)", R2xy)
@@ -129,6 +148,11 @@ class TestPrimeCheck:
         # is not a form: neither is certified
         with pytest.raises(ValueError):
             prime_extension_check(Ideal(R3xy, gens), 2)
+
+    def test_quotient_ring_rejected(self):
+        R = parse_ring("F_2[x,y]/(1)")
+        with pytest.raises(ValueError, match="free ring"):
+            prime_extension_check(Ideal(R, ["x"]), 2)
 
     def test_certification_charges_the_budget(self, R3xy):
         P = Ideal(R3xy, ["x + y", "x + 2*y"])

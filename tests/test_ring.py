@@ -1,6 +1,7 @@
 """Base arithmetic: parsing, canonical forms, orders, Frobenius, roots."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -121,6 +122,17 @@ class TestArithmetic:
         f = parse_poly("x^1000000", R2)
         with pytest.raises(ExponentOverflow):
             f.frobenius(50)
+
+    def test_huge_frobenius_level(self):
+        # a constant is fixed at every level; any other polynomial passes
+        # the guard at once, without forming p^e
+        for c in (R2.zero(), R2.one()):
+            assert c.frobenius(10 ** 9) is c
+        start = time.perf_counter()
+        with pytest.raises(ExponentOverflow,
+                           match=r"exponent 1\*2\^1000000000 exceeds guard"):
+            parse_poly("x + 1", R2).frobenius(10 ** 9)
+        assert time.perf_counter() - start < 1.0
 
     def test_pth_root_monomial(self):
         x = R2.var("x")
