@@ -38,8 +38,8 @@ class Budget:
         self.limit = int(limit)
         self.used = 0
 
-    def charge(self, n=1):
-        self.used += n
+    def charge(self):
+        self.used += 1
         if self.used > self.limit:
             raise BudgetExceeded(used=self.used)
 

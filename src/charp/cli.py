@@ -27,7 +27,7 @@ from functools import cache
 
 from .assoc import ass_monomial, maximal_in_ass, union_ass_fseq
 from .budget import Budget, BudgetExceeded, InternalInvariantError, Unresolved
-from .depth import (cdepth_lower_bound, depth_at_origin,
+from .depth import (WINDOW, cdepth_lower_bound, depth_at_origin,
                     kdepth_truncation_profile, regular_sequence_check,
                     sdepth)
 from .frobenius import (FSequence, fedder_f_pure, frobenius_closure,
@@ -42,8 +42,8 @@ from .perfclosure import (PerfectClosureIdeal, extended_ideal_membership,
 from .ring import ExponentOverflow, order_from_name
 from .verify import SUITE_ALIASES, SUITE_NAMES, run_suite
 
-DEFAULTS = {"e_max": 4, "window": 2, "lift_cap": 6, "budget": 10 ** 6,
-            "seed": 0}
+DEFAULTS = {"e_max": 4, "window": WINDOW, "lift_cap": 6,
+            "budget": 10 ** 6, "seed": 0}
 
 
 def _int_at_least(low):

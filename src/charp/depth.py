@@ -35,10 +35,11 @@ from math import comb
 
 from .budget import Budget, InternalInvariantError
 from .frobenius import fedder_f_pure
-from .modules import (FreeComplex, ModulePresentation, diagonal_columns,
-                      free_resolution, hilbert_dimension, in_module,
-                      k_times_one_minus, kpolynomial, module_colon,
+from .modules import (FreeComplex, ModulePresentation, _kron,
+                      diagonal_columns, free_resolution, hilbert_dimension,
+                      in_module, k_times_one_minus, kpolynomial, module_colon,
                       module_colon_by_element, module_groebner, row_degrees)
+from .ring import Polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -84,15 +85,6 @@ def koszul_complex(xs, ring):
     n = len(xs)
     return FreeComplex(ring, 1, [koszul_differential(xs, i, ring)
                                  for i in range(1, n + 1)])
-
-
-def _kron(a, b, ring):
-    """The Kronecker product A (x) B of matrices given by columns: column
-    (j, l) has entry A[i][j] * B[k][l] in row (i, k).  Identity factors
-    carry the integer 1, which multiplies without a polynomial product."""
-    zero = ring.zero()
-    return [tuple(x * y if x and y else zero for x in ca for y in cb)
-            for ca in a for cb in b]
 
 
 def koszul_homology_nonzero(xs, M, i, budget=None):
@@ -285,7 +277,9 @@ def _forms(ring, degree, limit, seed):
             if any(vec):
                 vecs[vec] = None
         exhaustive = False
-    return [ring.from_dict(dict(zip(monos, vec))) for vec in vecs], exhaustive
+    ranked = sorted(range(m), key=lambda i: ring.order.key(monos[i]))[::-1]
+    return [Polynomial(ring, tuple((monos[i], v[i]) for i in ranked if v[i]))
+            for v in vecs], exhaustive
 
 
 def linear_candidates(ring, seed=0):
@@ -388,6 +382,14 @@ def classical_depth_search(M, seed=0, budget=None):
 # ---------------------------------------------------------------------------
 # stabilizing depth
 
+WINDOW = 2   # equal tail values that count as stabilized
+
+
+def _settled(values, window=WINDOW):
+    """The last `window` values exist and are all equal."""
+    return len(values) >= window and len(set(values[-window:])) == 1
+
+
 @dataclass
 class SdepthReport:
     """depth(F^e(M)) for e = 0..e_max, with the eventual value detected by a
@@ -404,7 +406,7 @@ class SdepthReport:
         return self.stabilized_value is None
 
 
-def sdepth(M, e_max=4, window=2, cross_check=True, budget=None):
+def sdepth(M, e_max=4, window=WINDOW, cross_check=True, budget=None):
     """Stabilizing depth of M: the eventual constant value of depth under
     the Frobenius functor.  Over an F-pure ring the per-level values must be
     non-increasing; a violation is a hard engine failure."""
@@ -420,9 +422,7 @@ def sdepth(M, e_max=4, window=2, cross_check=True, budget=None):
     if f_pure and not monotone:
         raise InternalInvariantError(
             f"depth under Frobenius increased over an F-pure ring: {values}")
-    stabilized = None
-    if len(values) >= window and len(set(values[-window:])) == 1:
-        stabilized = values[-1]
+    stabilized = values[-1] if _settled(values, window) else None
     return SdepthReport(per_e, stabilized, window, f_pure, monotone)
 
 
@@ -435,9 +435,10 @@ def cdepth_lower_bound(M, e_max=4, seed=0, budget=None):
 
 @dataclass
 class KdepthReport:
-    """Koszul profiles of the variables on F^e(M) per level; under the
-    truncation isomorphism these are the profiles of the fractional bracket
-    powers of the maximal ideal on the extension side."""
+    """Koszul profiles of the variables on F^e(M) per level (under the
+    truncation isomorphism, those of the fractional bracket powers of the
+    maximal ideal); `sdepth_value` is sdepth's window rule on these Koszul
+    grades, not `sdepth()`, so `matches_sdepth` always equals `stable`."""
 
     profiles: list
     stable: bool
@@ -452,22 +453,17 @@ class KdepthReport:
 
 def kdepth_truncation_profile(M, e_max=4, budget=None):
     """Per-level Koszul profiles plus whether the nonzero-homology pattern
-    is eventually constant with grade equal to the stabilizing depth.  No
-    homology at level 0 means M_m = 0 (F^e keeps it): a ValueError."""
+    is eventually constant, by sdepth's window rule.  No homology at level
+    0 means M_m = 0 (F^e keeps it): a ValueError."""
     budget = Budget.ensure(budget)
-    window = 2   # sdepth's default
     free = M.ring.free()
     xs = list(free.gens())
     profiles = [kgrade(xs, frobenius_functor(M, e), budget)
                 for e in range(e_max + 1)]
     if not profiles[0].nonzero_homology:
         raise ValueError(_VANISHES)
-    patterns = [p.nonzero_homology for p in profiles]
-    stable = (len(patterns) >= window
-              and all(p == patterns[-1] for p in patterns[-window:]))
+    stable = _settled([p.nonzero_homology for p in profiles])
     stable_kgrade = profiles[-1].kgrade if stable else None
-    values = [p.kgrade for p in profiles]
-    sdepth_value = None
-    if len(values) >= window and len(set(values[-window:])) == 1:
-        sdepth_value = values[-1]
+    grades = [p.kgrade for p in profiles]
+    sdepth_value = grades[-1] if _settled(grades) else None
     return KdepthReport(profiles, stable, stable_kgrade, sdepth_value)

@@ -25,7 +25,7 @@ from .ring import Block, Polynomial, Ring, minimal_monomials
 # ---------------------------------------------------------------------------
 # powers and preimages
 
-def frobenius_power(J, e, budget=None):
+def frobenius_power(J, e):
     """The bracket power J^[q]: generator-wise q-th powers, q = p^e."""
     if e < 0:
         raise ValueError("e must be >= 0")

@@ -7,8 +7,8 @@ through it too, with module terms encoded under the POT order (see
 modules.py).  Pair selection uses the sugar strategy with both classical
 pair-skipping criteria, and ties are broken by (sugar, lcm key, indices),
 so repeated runs produce bit-identical reduced bases.  Ideal quotients
-are module colons at rank 1 (modules.span_colon), so _nf_dict is the
-only division loop.
+are one module colon (modules.span_colon), so _nf_dict is the only
+division loop.
 
 Packed terms (Monagan & Pearce, CASC 2007).  Inside the engine a monomial
 is one Python int.  Its low bits hold the exponents E, one field of `bits`
@@ -449,8 +449,8 @@ def intersect(I, J, budget=None):
 
 def colon_ideal(I, J, budget=None):
     """(I : J) = {r | r*J inside I}: the ideal of r with r*g in the span of
-    the lifted generators of I for every generator g of J, each a module
-    colon at rank 1 (modules.span_colon)."""
+    the lifted generators of I for every generator g of J, one stacked
+    module colon (modules.span_colon)."""
     from .modules import span_colon
 
     if I.ring.p != J.ring.p or I.ring.variables != J.ring.variables:

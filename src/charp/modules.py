@@ -25,7 +25,8 @@ generator and basis row, so homology answers are answers over R = S/I0.
 from __future__ import annotations
 
 from .budget import Budget
-from .groebner import Ideal, buchberger, intersect, normal_form_poly
+# unused here: the benchmark's tracer tests read charp.modules.intersect
+from .groebner import Ideal, buchberger, intersect, normal_form_poly  # noqa
 from .ring import POT, Polynomial, Ring, minimal_monomials, mono_deg
 
 
@@ -58,6 +59,15 @@ def diagonal_columns(f, rank, ring):
     zero = ring.zero()
     return [tuple(f if j == i else zero for j in range(rank))
             for i in range(rank)]
+
+
+def _kron(a, b, ring):
+    """The Kronecker product A (x) B of matrices given by columns: column
+    (j, l) has entry A[i][j] * B[k][l] in row (i, k).  Identity factors
+    carry the integer 1, which multiplies without a polynomial product."""
+    zero = ring.zero()
+    return [tuple(x * y if x and y else zero for x in ca for y in cb)
+            for ca in a for cb in b]
 
 
 # ---------------------------------------------------------------------------
@@ -453,18 +463,13 @@ def projective_dimension(pres, cap=8, budget=None):
 # colons
 
 def span_colon(vectors, cols, rank, ring, budget=None):
-    """The ideal {r : r*v in the span of cols for every v in vectors}, one
-    module colon per vector, intersected; the unit ideal when there are no
-    vectors."""
-    budget = Budget.ensure(budget)
-    result = None
-    for v in vectors:
-        part = Ideal(ring, [w[0] for w in module_colon([v], cols, rank, ring,
-                                                       budget)])
-        result = part if result is None else intersect(result, part, budget)
-    if result is None:
-        result = Ideal(ring, [ring.one()])
-    return result
+    """The ideal {r : r*v in the span of cols for every v in vectors}: one
+    module colon of the stacked vector (v_1; ...; v_k) into k diagonal
+    copies of cols (the unit ideal for k = 0, whose stack is empty)."""
+    stacked = tuple(e for v in vectors for e in v)
+    blocks = _kron(diagonal_columns(1, len(vectors), ring), cols, ring)
+    colon = module_colon([stacked], blocks, len(vectors) * rank, ring, budget)
+    return Ideal(ring, [w[0] for w in colon])
 
 
 def annihilator(pres, budget=None):

@@ -244,14 +244,13 @@ class Ring:
     def with_quotient(self, gens):
         return Ring(self.p, self.variables, self.order, tuple(gens))
 
-    def extended(self, extra_names, order=None):
-        """A free ring with extra variables appended (for tag-variable
-        constructions); quotient generators are not carried over."""
+    def extended(self, extra_names):
+        """A free ring with extra variables appended, under the same order;
+        quotient generators are not carried over."""
         for name in extra_names:
             if name in self._index:
                 raise ValueError(f"variable {name} already present")
-        return Ring(self.p, self.variables + tuple(extra_names),
-                    order if order is not None else self.order)
+        return Ring(self.p, self.variables + tuple(extra_names), self.order)
 
     def fresh_names(self, count, base="t"):
         """Names not colliding with the ring's variables."""

@@ -373,13 +373,13 @@ def test_readme_lists_every_command():
 FUZZ_POOLS = {
     "--ring": ["F_2[x,y]", "F_3[x,y,z]", "F_2[x,y,z]/(x*y)",
                "F_3[x,y]/(x^2 - y^3)", "F_2[x,y]/(x + 1)", "F_2[x,y]/(1)",
-               "F_4[x,y]", "F_2[x,x]", "F_5[x,y]"],
+               "F_4[x,y]", "F_2[x,x]", "F_5[x,y]", "F_2[x,y,z]/(x*y, y*z)"],
     "--ideal": ["(x)", "(x*y, x^2)", "(x, y)", "(x^2 + y^2, x*y)", "(1)",
                 "(0)", "(x + 1)", "(x*z, y)", "(x*y",
                 "(x^3*y + y^2 + x, x*y^3 + x^2 + y)"],
     "--matrix": ["[x, 0; 0, x^2]", "[x, y; y, x]", "[x*y]", "[1, 0]",
                  "[x, y; x]"],
-    "--by": ["(x)", "(y, x + y)", "(1)", "(0)"],
+    "--by": ["(x)", "(y, x + y)", "(x*y, z)", "(1)", "(0)"],
     "--order": ["lex", "grevlex", "block:1", "revlex"],
     "--e": ["0", "1", "2", "70", "-1", "1000000000"],
     "--emax": ["0", "1", "2", "-1"],
@@ -435,12 +435,31 @@ def test_fuzzed_calls_end_in_a_documented_exit_code(capsys):
         seen.add(argv[0])
         codes.add(code)
     assert seen == set(names) and {0, 2, 5} <= codes
-    # depth agrees with sdepth's level 0, cdepth-lb --emax 0 and gb
-    agreed = 0
+    # closed agrees with closure, frobpre undoes frobpow up to containment,
+    # and depth agrees with sdepth's level 0, cdepth-lb --emax 0 and gb
+    agreed = closures = preimages = 0
     for _ in range(30):
         ring = rng.choice(FUZZ_POOLS["--ring"])
         ideal = rng.choice(FUZZ_POOLS["--ideal"])
         base = ("--ring", ring, "--ideal", ideal)
+        closed = _json_result(capsys, "closed", *base)
+        closure = _json_result(capsys, "closure", *base)
+        gb = _json_result(capsys, "gb", *base)
+        if closed is not None and closure is not None and gb is not None:
+            # an unresolved answer still means no growth up to e_max
+            assert ((closure["closure"] == gb["basis"])
+                    == (closed["closed"] is not False)), base
+            closures += 1
+        power = _json_result(capsys, "frobpow", *base)
+        pre = None if power is None else _json_result(
+            capsys, "frobpre", "--ring", ring,
+            "--ideal", "(" + ", ".join(power["basis"]) + ")")
+        if pre is not None:
+            both = _json_result(capsys, "gb", "--ring", ring, "--ideal",
+                                "(" + ", ".join(pre["basis"]) + ", "
+                                + ideal[1:-1] + ")")
+            assert both == {"basis": pre["basis"]}, base
+            preimages += 1
         depth = _json_result(capsys, "depth", *base)
         if depth is None:
             continue
@@ -451,10 +470,9 @@ def test_fuzzed_calls_end_in_a_documented_exit_code(capsys):
         bound = _json_result(capsys, "cdepth-lb", *base, "--emax", "0")
         if bound is not None:
             assert bound["bound"] <= depth, base
-        gb = _json_result(capsys, "gb", *base)
         assert gb is not None, base
         again = _json_result(capsys, "gb", "--ring", ring,
                              "--ideal", "(" + ", ".join(gb["basis"]) + ")")
         assert again == gb, base
         agreed += 1
-    assert agreed >= 5
+    assert agreed >= 5 and closures >= 5 and preimages >= 5

@@ -12,9 +12,11 @@ from charp import (Ideal, ModulePresentation, cdepth_lower_bound,
                    regular_sequence_check, sdepth)
 from charp import depth as depth_mod
 from charp.budget import Budget
-from charp.depth import (_kron, _normalized_vectors, _regular_by_hilbert,
-                         _regular_by_syzygies, is_regular_element)
-from charp.modules import diagonal_columns, row_degrees
+from charp.depth import (_normalized_vectors, _regular_by_hilbert,
+                         _regular_by_syzygies, is_regular_element,
+                         linear_candidates, quadratic_candidates)
+from charp.modules import _kron, diagonal_columns, row_degrees
+from charp.ring import Block, GRevLex, Lex
 from charp.verify import random_form, random_graded_module
 
 
@@ -144,6 +146,30 @@ class TestClassicalSearch:
         space = itertools.product(range(p), repeat=length)
         expected = [v for v in space if any(v) and next(c for c in v if c) == 1]
         assert list(_normalized_vectors(p, length)) == expected
+
+    @pytest.mark.parametrize("order", [GRevLex(), Lex(), Block(1)])
+    @pytest.mark.parametrize("ring_text", ["F_2[x,y,z,w]", "F_3[x,y,z]",
+                                           "F_7[x,y,z]"])
+    def test_pool_forms_are_canonical_and_in_vector_order(self, ring_text,
+                                                          order):
+        # each form is the from_dict form of its coefficient vector, and an
+        # exhaustive pool lists the normalized vectors in order
+        ring = parse_ring(ring_text).with_order(order)
+        n = ring.nvars
+        for degree, build in ((1, linear_candidates),
+                              (2, quadratic_candidates)):
+            monos = [tuple(c.count(k) for k in range(n)) for c in
+                     itertools.combinations_with_replacement(range(n),
+                                                             degree)]
+            forms, exhaustive = build(ring, seed=3)
+            vecs = [tuple(dict(f.terms).get(m, 0) for m in monos)
+                    for f in forms]
+            assert [f.terms for f in forms] == [
+                ring.from_dict(dict(zip(monos, v))).terms for v in vecs]
+            if exhaustive:
+                assert vecs == list(_normalized_vectors(ring.p, len(monos)))
+            else:
+                assert len(set(vecs)) == len(vecs) == depth_mod.SAMPLED_POOL
 
 
 class TestRegularElementRoutes:
@@ -374,6 +400,15 @@ class TestComparisonChain:
             kd = kdepth_truncation_profile(M, e_max=3)
             assert cd.bound <= sd.stabilized_value
             assert kd.stable_kgrade == sd.stabilized_value
+            assert kd.matches_sdepth == kd.stable
+
+    def test_one_window_rule(self, two_planes):
+        # one level is short of the window: neither report settles
+        sd = sdepth(two_planes, e_max=0)
+        kd = kdepth_truncation_profile(two_planes, e_max=0)
+        assert sd.window == depth_mod.WINDOW
+        assert sd.stabilized_value is None and kd.sdepth_value is None
+        assert not kd.stable and not kd.matches_sdepth
 
     def test_bracket_power_sequence_same_top(self, R2xy):
         M = frobenius_functor(

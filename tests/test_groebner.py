@@ -22,6 +22,7 @@ from charp import (Block, Budget, BudgetExceeded, ExponentOverflow, GRevLex,
                    parse_ring, radical_membership)
 from charp.cli import main
 from charp.groebner import _FIELD_MARGIN, _packing, normal_form_poly
+from charp.modules import module_colon, span_colon
 from charp.ring import (EXPONENT_LIMIT, POT, mono_div, mono_divides,
                         mono_mul)
 from charp.verify import brute_force_member, random_poly
@@ -158,6 +159,30 @@ class TestColon:
             assert_times_colon_is_intersection(I, g, C)
 
 
+    @pytest.mark.parametrize("ring_text, ideal, by, steps, basis", [
+        ("F_2[x,y,z]", "(x*y, y*z, x^3)", "x", 5, "(y, x^2)"),
+        ("F_3[x,y,z]/(x^3 - y*z^3)", "(x*z, y)", "x + y", 11, "(z, y, x^2)"),
+        ("F_5[x,y]", "(x^3*y + y^2 + x, x*y^3 + x^2 + y)", "x*y", 19,
+         "(y^4 + 4*x^2*y + x*y + 4, x*y^3 + x^2 + y, x^3*y + y^2 + x,"
+         " x^4 + 4*x*y^2 + x*y + 4)"),
+    ])
+    def test_single_generator_keeps_basis_and_steps(self, ring_text, ideal,
+                                                    by, steps, basis):
+        # one vector stacks to itself: the colon is the rank-1 module
+        # colon, step for step (the figures of the earlier per-vector route)
+        ring = parse_ring(ring_text)
+        free = ring.free()
+        I = Ideal.parse(ring, ideal)
+        g = parse_poly(by, free)
+        budget, direct = Budget(), Budget()
+        C = colon_ideal(I, Ideal(ring, [g]), budget)
+        tails = module_colon([(g,)], [(h,) for h in I.lifted_gens()], 1,
+                             free, direct)
+        assert budget.used == direct.used == steps
+        assert C.gens == tuple(w[0].transported(ring) for w in tails)
+        assert C.basis_str() == basis
+
+
 def assert_times_colon_is_intersection(I, g, C):
     free = I.ring.free()
     product = Ideal(free, [g * c for c in C.lifted_gens()])
@@ -192,6 +217,31 @@ class TestRadicalMembership:
         assert radical_membership(parse_poly("x + y", R2xy), I)
 
 
+def _colon_intersect(I, J):
+    """I cap J as one module colon at rank 2: the r with r*(1, 1) in the
+    span of the columns (g, 0), g in I, and (0, h), h in J."""
+    ring = I.ring.free()
+    zero, one = ring.zero(), ring.one()
+    cols = [(g, zero) for g in I.lifted_gens()]
+    cols += [(zero, h.transported(ring)) for h in J.lifted_gens()]
+    return Ideal(ring, [w[0] for w in module_colon([(one, one)], cols, 2,
+                                                   ring)])
+
+
+def _random_ideal(ring, rng, dense_poly):
+    """One or two dense generators, or now and then the zero or the unit
+    ideal."""
+    roll = rng.random()
+    if roll < 0.1:
+        return Ideal(ring, [])
+    if roll < 0.2:
+        return Ideal(ring, [ring.one()])
+    free = ring.free()
+    return Ideal(ring, [dense_poly(free, rng, rng.randrange(1, 3),
+                                   rng.randrange(1, 4))
+                        for _ in range(rng.randrange(1, 3))])
+
+
 class TestIntersect:
     def test_principal_intersection(self, R2xy):
         got = intersect(Ideal(R2xy, ["x"]), Ideal(R2xy, ["y"]))
@@ -200,6 +250,56 @@ class TestIntersect:
     def test_nested(self, R2xy):
         got = intersect(Ideal(R2xy, ["x"]), Ideal(R2xy, ["x^2"]))
         assert got.equal(Ideal(R2xy, ["x^2"]))
+
+    @pytest.mark.parametrize("ring_text", [
+        "F_2[x,y,z]", "F_3[x,y]", "F_5[x,y,z]", "F_2[x,y,z]/(x*y, y*z)",
+        "F_3[x,y]/(x^2 - y^3)", "F_5[x,y]/(x*y)",
+    ])
+    def test_tag_variable_and_module_colon_routes_agree(self, ring_text,
+                                                        dense_poly):
+        ring = parse_ring(ring_text)
+        rng = random.Random(f"intersect/{ring_text}")
+        zero, unit = Ideal(ring, []), Ideal(ring, [ring.one()])
+        pairs = [(zero, zero), (zero, unit), (unit, unit)]
+        for _ in range(6):
+            I = _random_ideal(ring, rng, dense_poly)
+            pairs += [(I, _random_ideal(ring, rng, dense_poly)), (I, zero),
+                      (unit, I)]
+        for I, J in pairs:
+            got = intersect(I, J).groebner_basis()
+            assert got == _colon_intersect(I, J).groebner_basis(), (I, J)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("ring_text", ["F_2[x,y,z]", "F_3[x,y]",
+                                           "F_5[x,y]"])
+    def test_span_colon_is_the_meet_of_the_vector_colons(self, ring_text,
+                                                         rank):
+        # sparse monomial entries, so the colons of different vectors
+        # differ (dense random columns span too much for that)
+        ring = parse_ring(ring_text)
+        rng = random.Random(f"span-colon/{ring_text}/{rank}")
+
+        def term(low, high):
+            if rng.random() < 0.3:
+                return ring.zero()
+            exps = [0] * ring.nvars
+            for _ in range(rng.randrange(low, high + 1)):
+                exps[rng.randrange(ring.nvars)] += 1
+            return ring.monomial(exps, rng.randrange(1, ring.p))
+
+        for count in (0, 1, 2, 3, 2, 3):
+            cols = [tuple(term(1, 3) for _ in range(rank))
+                    for _ in range(rng.randrange(2, 4))]
+            vectors = [tuple(term(0, 2) + term(0, 2) for _ in range(rank))
+                       for _ in range(count)]
+            want = Ideal(ring, [ring.one()])
+            for v in vectors:
+                part = Ideal(ring, [w[0] for w in
+                                    module_colon([v], cols, rank, ring)])
+                want = intersect(want, part)
+            got = span_colon(vectors, cols, rank, ring)
+            assert got.groebner_basis() == want.groebner_basis(), (cols,
+                                                                   vectors)
 
 
 class TestMembershipOracle:

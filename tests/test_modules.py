@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 from charp import (Budget, BudgetExceeded, Ideal, ModulePresentation,
                    annihilator, free_resolution, is_graded, parse_ring,
                    syzygy_module)
-from charp.depth import _kron, depth_at_origin, koszul_differential
-from charp.modules import (apply_columns, diagonal_columns, hilbert_dimension,
-                           in_module, kpolynomial, module_colon,
-                           module_groebner, monomial_kpolynomial, row_degrees,
-                           vec_is_zero, _unit_entry)
+from charp.depth import depth_at_origin, koszul_differential
+from charp.modules import (_kron, apply_columns, diagonal_columns,
+                           hilbert_dimension, in_module, kpolynomial,
+                           module_colon, module_groebner,
+                           monomial_kpolynomial, row_degrees, vec_is_zero,
+                           _unit_entry)
 from charp.ring import mono_deg, mono_divides
 from charp.verify import (random_form, random_graded_module,
                           resolution_kpolynomial)
