@@ -18,12 +18,13 @@ dimension through the depth + pd = n identity.
 
 The greedy regular-sequence search is the third route.  On a graded
 module a form f of degree d is regular exactly when M != 0 and the
-K-polynomials satisfy K(M/fM) = (1 - t^d) K(M), so each test costs two
-module bases and no syzygies; ungraded inputs keep the syzygy test.  The
-same Hilbert series give dim M, and the search stops as soon as some level
-modulo the witness has dimension 0 (depth <= dim).  Both read only M's own
-leading terms, so the route stays independent of Koszul homology and of
-n - pd.
+K-polynomials satisfy K(M/fM) = (1 - t^d) K(M).  A search computes each
+level's K once and multiplies it by (1 - t^d) after each witness, so a
+test costs the one module basis of M/fM and no syzygies; ungraded inputs
+keep the syzygy test.  The same K gives dim M, and the search stops as
+soon as some level modulo the witness has dimension 0 (depth <= dim).
+Both read only M's own leading terms, so the route stays independent of
+Koszul homology and of n - pd.
 """
 
 from __future__ import annotations
@@ -180,14 +181,21 @@ def depth_at_origin(M, cross_check=True, budget=None):
 # ---------------------------------------------------------------------------
 # regular elements and sequences
 
-def _regular_by_hilbert(f, cols, rank, ring, degrees, budget):
-    """The Hilbert route, for M = coker(cols) graded by `degrees` and a form
-    f of degree d >= 1.  The exact sequence
+def _hilbert_data(cols, rank, ring, budget):
+    """(row degrees, K-polynomial) of coker(cols), or None if ungraded."""
+    degrees = row_degrees(cols, rank)
+    if degrees is None:
+        return None
+    return degrees, kpolynomial(cols, rank, ring, degrees, budget)
+
+
+def _regular_by_hilbert(f, cols, rank, ring, degrees, k, budget):
+    """The Hilbert route, for M = coker(cols) graded by `degrees` with
+    K-polynomial k and a form f of degree d >= 1.  The exact sequence
     0 -> (0 :_M f)(-d) -> M(-d) -> M -> M/fM -> 0 gives
     HS(M/fM) = (1 - t^d) HS(M) + t^d HS(0 :_M f), so f is regular exactly
     when M != 0 and K(M/fM) = (1 - t^d) K(M); graded Nakayama gives
     M != fM for free."""
-    k = kpolynomial(cols, rank, ring, degrees, budget)
     if not k:
         return False
     quotient = list(cols) + diagonal_columns(f, rank, ring)
@@ -207,18 +215,29 @@ def _regular_by_syzygies(f, cols, rank, ring, budget):
     return not quotient.is_zero_module(budget)
 
 
-def is_regular_element(f, cols, rank, ring, budget=None):
+def is_regular_element(f, cols, rank, ring, budget=None, graded=None):
     """f is a nonzerodivisor on M = coker(cols) and does not act as the
     whole module (M != f*M).  Graded M and a form f take the Hilbert
     route, every other input the syzygy route: the route depends on the
-    input only.  Constants are never regular, since M = cM."""
+    input only.  Constants are never regular, since M = cM.  `graded` is
+    M's (row degrees, K-polynomial) when a caller already holds them."""
     budget = Budget.ensure(budget)
     if f.is_constant:
         return False
-    degrees = row_degrees(cols, rank) if f.is_homogeneous else None
-    if degrees is not None:
-        return _regular_by_hilbert(f, cols, rank, ring, degrees, budget)
+    if f.is_homogeneous:
+        graded = graded or _hilbert_data(cols, rank, ring, budget)
+        if graded:
+            return _regular_by_hilbert(f, cols, rank, ring, *graded, budget)
     return _regular_by_syzygies(f, cols, rank, ring, budget)
+
+
+def _quotient_data(graded, f):
+    """M/fM's (row degrees, K-polynomial) from M's, for f regular on M:
+    the columns f*e_i link no rows, and K(M/fM) = (1 - t^d) K(M).  None
+    off the graded case."""
+    if graded and f.is_homogeneous:
+        return graded[0], k_times_one_minus(graded[1], f.degree())
+    return None
 
 
 def regular_sequence_check(xs, M, e_range, budget=None):
@@ -228,17 +247,21 @@ def regular_sequence_check(xs, M, e_range, budget=None):
     budget = Budget.ensure(budget)
     free = M.ring.free()
     xs = [x.transported(free) for x in xs]
+    rank = M.rank
     results = []
     for e in e_range:
-        Fe = frobenius_functor(M, e)
-        cols = Fe.lifted_columns()
-        rank = Fe.rank
+        cols = frobenius_functor(M, e).lifted_columns()
+        graded = None
         ok = True
         for f in xs:
-            if not is_regular_element(f, cols, rank, free, budget):
+            if graded is None and f.is_homogeneous and not f.is_constant:
+                graded = _hilbert_data(cols, rank, free, budget)
+            if not is_regular_element(f, cols, rank, free, budget,
+                                      graded=graded):
                 ok = False
                 break
             cols = cols + diagonal_columns(f, rank, free)
+            graded = _quotient_data(graded, f)
         results.append(ok)
     return results
 
@@ -309,16 +332,12 @@ class DepthSearchReport:
     seed: int = 0
 
 
-def _dimension_zero(levels, rank, ring, budget):
-    """Some graded level has Krull dimension <= 0 (read off its Hilbert
-    series), so no form is regular on it.  A level of dimension -1 is the
-    zero module, which has no depth."""
-    for cols in levels:
-        degrees = row_degrees(cols, rank)
-        if degrees is None:
-            continue
-        dim = hilbert_dimension(kpolynomial(cols, rank, ring, degrees, budget),
-                                ring.nvars)
+def _dimension_zero(graded, n):
+    """Some level, given by its _hilbert_data, has Krull dimension <= 0
+    (read off its Hilbert series), so no form is regular on it.  A level
+    of dimension -1 is the zero module, which has no depth."""
+    for level in filter(None, graded):
+        dim = hilbert_dimension(level[1], n)
         if dim < 0:
             raise ValueError(_VANISHES)
         if dim == 0:
@@ -342,14 +361,14 @@ def _greedy_search(M, e_max, seed, budget):
               for e in range(e_max + 1)]
     # graded M = 0 shows as dimension -1 in the dim stop; otherwise M_m = 0
     # exactly when H_0(x; M) = M/mM = 0 (Nakayama)
-    graded = row_degrees(levels[0], rank) is not None
-    if not graded and not koszul_homology_nonzero(free.gens(), M, 0, budget):
+    graded = [_hilbert_data(cols, rank, free, budget) for cols in levels]
+    if not (graded[0] or koszul_homology_nonzero(free.gens(), M, 0, budget)):
         raise ValueError(_VANISHES)
     pools = None
     witness = []
     exhaustive = True
     while True:
-        if _dimension_zero(levels, rank, free, budget):
+        if _dimension_zero(graded, free.nvars):
             return DepthSearchReport(len(witness), tuple(witness), True, seed)
         if pools is None:  # once per search, and only if a round needs them
             pools = [linear_candidates(free, seed),
@@ -359,8 +378,9 @@ def _greedy_search(M, e_max, seed, budget):
             if not full:
                 exhaustive = False
             for f in forms:
-                if all(is_regular_element(f, cols, rank, free, budget)
-                       for cols in levels):
+                if all(is_regular_element(f, cols, rank, free, budget,
+                                          graded=level)
+                       for cols, level in zip(levels, graded)):
                     found = f
                     break
             if found is not None:
@@ -370,6 +390,7 @@ def _greedy_search(M, e_max, seed, budget):
         witness.append(found)
         levels = [cols + diagonal_columns(found, rank, free)
                   for cols in levels]
+        graded = [_quotient_data(level, found) for level in graded]
 
 
 def classical_depth_search(M, seed=0, budget=None):

@@ -50,8 +50,7 @@ from functools import lru_cache
 from operator import mul
 
 from .budget import Budget
-from .ring import (Block, ExponentOverflow, Polynomial, Ring, mono_deg,
-                   mono_lcm)
+from .ring import Block, ExponentOverflow, Polynomial, Ring
 
 # bits an exponent may grow past the largest input exponent (see above)
 _FIELD_MARGIN = 16
@@ -209,7 +208,6 @@ def buchberger(gens, ring, budget=None):
     leading terms in the same position are formed."""
     budget = Budget.ensure(budget)
     p = ring.p
-    slots = ring.order.slots
     seed = {g.monic() for g in gens if g}
     if not seed:
         return ()
@@ -218,23 +216,20 @@ def buchberger(gens, ring, budget=None):
 
     G = []           # packed monic term tuples, largest term first
     lms = []         # their leading monomials
-    lm_exps = []     # the same as exponent tuples, for lcms and degrees
-    sugars = []
+    lm_exps = []     # the same as exponent tuples, for lcms
+    excess = []      # sugar minus the degree of the leading monomial
     reducers = {}    # _reducer_table of G, grown as G grows
     pairs = []       # heap of (sugar, packed lcm, i, j)
     done = set()     # treated index pairs, for the chain criterion
 
     def push_pairs(j):
-        lmj, sj = lm_exps[j], sugars[j]
-        dj = mono_deg(lmj)
+        lmj, expj, ej = lms[j], lm_exps[j], excess[j]
         for i in range(j):
-            lmi = lm_exps[i]
-            if lmi[:slots] != lmj[:slots]:
+            if (lms[i] ^ lmj) & slotmask:
                 continue
-            lcm = mono_lcm(lmi, lmj)
-            d = mono_deg(lcm)
-            sugar = max(sugars[i] + d - mono_deg(lmi), sj + d - dj)
-            heapq.heappush(pairs, (sugar, pk.encode(lcm), i, j))
+            lcm = tuple(map(max, lm_exps[i], expj))
+            heapq.heappush(pairs, (sum(lcm) + max(excess[i], ej),
+                                   pk.encode(lcm), i, j))
 
     def add(terms, sugar):
         """Append monic packed terms, already largest first."""
@@ -246,7 +241,7 @@ def buchberger(gens, ring, budget=None):
         G.append(terms)
         lms.append(lm)
         lm_exps.append(pk.decode(lm))
-        sugars.append(sugar)
+        excess.append(sugar - sum(lm_exps[-1]))
         reducers.setdefault(lm & slotmask, []).append((lm, terms[1:]))
         push_pairs(len(G) - 1)
 

@@ -33,18 +33,13 @@ from .ring import POT, Polynomial, Ring, minimal_monomials, mono_deg
 # ---------------------------------------------------------------------------
 # vectors and module terms
 
-def zero_vector(ring, rank):
-    z = ring.zero()
-    return (z,) * rank
-
-
 def vec_is_zero(vec):
     return all(c.is_zero for c in vec)
 
 
 def apply_columns(columns, coeffs, ring, rank):
     """Matrix-vector product: sum of coeffs[j] * columns[j]."""
-    out = list(zero_vector(ring, rank))
+    out = [ring.zero()] * rank
     for c, col in zip(coeffs, columns):
         if c.is_zero:
             continue
@@ -186,14 +181,10 @@ class ModulePresentation:
             cols += diagonal_columns(q, self.rank, free)
         return cols
 
-    def relation_basis(self, budget=None):
-        return module_groebner(self.lifted_columns(), self.rank,
-                               self.ring.free(), budget)
-
     def is_zero_module(self, budget=None):
         """Every unit vector lies in the relation span."""
         free = self.ring.free()
-        gb = self.relation_basis(budget)
+        gb = module_groebner(self.lifted_columns(), self.rank, free, budget)
         return all(in_module(e, gb, self.rank, free, budget)
                    for e in diagonal_columns(free.one(), self.rank, free))
 

@@ -571,11 +571,12 @@ class Polynomial:
             d[key] = (d.get(key, 0) + c) % target.p
         return target.from_dict(d)
 
-    def substituted(self, mapping):
-        """Substitute polynomials for variables: mapping is {name: Polynomial}
-        in the same ring; unmapped variables stay themselves."""
+    def shifted(self, point):
+        """Translate coordinates so `point` moves to the origin:
+        substitute v_i -> v_i + c_i."""
         ring = self.ring
-        images = [mapping.get(v, ring.var(v)) for v in ring.variables]
+        images = [ring.var(v) + ring.const(c)
+                  for v, c in zip(ring.variables, point)]
         out = ring.zero()
         for m, c in self.terms:
             term = ring.const(c)
@@ -584,14 +585,6 @@ class Polynomial:
                     term = term * images[i] ** e
             out = out + term
         return out
-
-    def shifted(self, point):
-        """Translate coordinates so `point` moves to the origin:
-        substitute v_i -> v_i + c_i."""
-        ring = self.ring
-        mapping = {v: ring.var(v) + ring.const(c)
-                   for v, c in zip(ring.variables, point)}
-        return self.substituted(mapping)
 
     def evaluate(self, point):
         p = self.ring.p

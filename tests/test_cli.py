@@ -136,7 +136,7 @@ PINNED = [
     (("cdepth-lb", "--ring", "F_2[x,y,z,w]", "--ideal", "(x*y, z*w)",
       "--emax", "2"),
      {"bound": 2, "exhaustive": True, "seed": 0, "witness": ["z + w", "x + y"]},
-     332),
+     203),
     (("ass", "--ring", "F_2[x,y]", "--ideal", "(x*y, x^2)", "--point", "0,0"),
      {"maximal_associated": True}, 7),
     (("fseq-verify", "--ring", "F_2[x,y]", "--family", "constant", "--ideal",

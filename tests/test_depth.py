@@ -15,7 +15,7 @@ from charp.budget import Budget
 from charp.depth import (_normalized_vectors, _regular_by_hilbert,
                          _regular_by_syzygies, is_regular_element,
                          linear_candidates, quadratic_candidates)
-from charp.modules import _kron, diagonal_columns, row_degrees
+from charp.modules import _kron, diagonal_columns, kpolynomial, row_degrees
 from charp.ring import Block, GRevLex, Lex
 from charp.verify import random_form, random_graded_module
 
@@ -197,9 +197,11 @@ class TestRegularElementRoutes:
             assert degrees is not None
             forms = [random_form(ring, rng, d) for d in (1, 1, 1, 2, 2, 2)]
             forms += [ring.var(v) for v in ring.variables]
+            k = kpolynomial(cols, rank, ring, degrees)
             for f in forms:
                 want = _regular_by_syzygies(f, cols, rank, ring, Budget())
-                got = _regular_by_hilbert(f, cols, rank, ring, degrees, Budget())
+                got = _regular_by_hilbert(f, cols, rank, ring, degrees, k,
+                                          Budget())
                 assert got == want, (cols, f)
                 answers.append(want)
         assert True in answers and False in answers
@@ -224,6 +226,119 @@ class TestRegularElementRoutes:
         for f in (R2xy.zero(), R2xy.one()):
             assert not is_regular_element(f, [(R2xy.poly("x"),)], 1, R2xy)
             assert not is_regular_element(f, [(R2xy.poly("x + y^2"),)], 1, R2xy)
+
+
+class TestKPolynomialReuse:
+    """A search keeps each level's (row degrees, K) and multiplies K by
+    (1 - t^d) after each witness of degree d, instead of recomputing it."""
+
+    def _modules(self, count=4):
+        rng = random.Random("k-reuse")
+        out = []
+        for ring_text in ("F_2[x,y,z]", "F_3[x,y,z]", "F_5[x,y]"):
+            ring = parse_ring(ring_text)
+            out += [random_graded_module(ring, rng) for _ in range(count)]
+        assert {M.rank for M in out} == {1, 2, 3}
+        return out
+
+    def test_derived_k_equals_recomputed_k(self, monkeypatch):
+        seen = []
+        original = depth_mod.is_regular_element
+
+        def spy(f, cols, rank, ring, budget=None, graded=None):
+            # checked at once: a wrong K can make the search run long
+            if graded is not None:
+                degrees = row_degrees(cols, rank)
+                assert graded == (degrees, kpolynomial(cols, rank, ring,
+                                                       degrees)), cols
+                seen.append(len(cols))
+            return original(f, cols, rank, ring, budget, graded=graded)
+
+        monkeypatch.setattr(depth_mod, "is_regular_element", spy)
+        after_witness = 0
+        for M in self._modules():
+            seen.clear()
+            cdepth_lower_bound(M, e_max=1)
+            after_witness += sum(n > len(M.lifted_columns()) for n in seen)
+        assert after_witness > 0
+
+    def test_one_k_per_level_and_per_hilbert_test(self, monkeypatch):
+        counts = {"kpolynomial": 0, "hilbert": 0, "inside": 0}
+        original = {name: getattr(depth_mod, name) for name in
+                    ("kpolynomial", "_regular_by_hilbert",
+                     "_regular_by_syzygies", "is_regular_element")}
+
+        def kpolynomial_spy(*args):
+            counts["kpolynomial"] += 1
+            return original["kpolynomial"](*args)
+
+        def route_spy(name):
+            def spy(*args):
+                assert counts["inside"], f"{name} ran outside the test"
+                counts["hilbert"] += name == "_regular_by_hilbert"
+                return original[name](*args)
+            return spy
+
+        def test_spy(*args, **kwargs):
+            counts["inside"] += 1
+            try:
+                return original["is_regular_element"](*args, **kwargs)
+            finally:
+                counts["inside"] -= 1
+
+        monkeypatch.setattr(depth_mod, "kpolynomial", kpolynomial_spy)
+        for name in ("_regular_by_hilbert", "_regular_by_syzygies"):
+            monkeypatch.setattr(depth_mod, name, route_spy(name))
+        monkeypatch.setattr(depth_mod, "is_regular_element", test_spy)
+        tests = 0
+        for M in self._modules(count=2):
+            for e_max in (0, 2):
+                counts.update(kpolynomial=0, hilbert=0)
+                cdepth_lower_bound(M, e_max=e_max)
+                assert counts["kpolynomial"] == counts["hilbert"] + e_max + 1
+                tests += counts["hilbert"]
+        assert tests > 0
+
+    @staticmethod
+    def _recomputed(xs, M, e_range, budget):
+        """regular_sequence_check with every test computing K(M) afresh."""
+        free = M.ring.free()
+        out = []
+        for e in e_range:
+            cols = frobenius_functor(M, e).lifted_columns()
+            ok = True
+            for f in xs:
+                if not is_regular_element(f, cols, M.rank, free, budget):
+                    ok = False
+                    break
+                cols = cols + diagonal_columns(f, M.rank, free)
+            out.append(ok)
+        return out
+
+    def test_reg_check_matches_recomputation(self, monkeypatch):
+        syzygy_tests = []
+        original = depth_mod._regular_by_syzygies
+        monkeypatch.setattr(depth_mod, "_regular_by_syzygies",
+                            lambda *a: syzygy_tests.append(a) or original(*a))
+        rng = random.Random("reg-check")
+        answers = []
+        for M in self._modules(count=3):
+            ring = M.ring
+            w = list(classical_depth_search(M).witness)
+            sequences = [w, [random_form(ring, rng, 1),
+                             random_form(ring, rng, 2)]]
+            if w:  # f + f^2 = f (1 + f) is regular with f, but not a form
+                sequences.append([w[0] + w[0] ** 2] + w[1:])
+                sequences.append(w[:1] + [ring.var(ring.variables[-1])
+                                          + ring.one()])
+            for xs in sequences:
+                fast, slow = Budget(), Budget()
+                got = regular_sequence_check(xs, M, range(3), fast)
+                assert got == self._recomputed(xs, M, range(3), slow), (M, xs)
+                assert fast.used <= slow.used
+                answers += got
+        assert True in answers and False in answers
+        assert syzygy_tests
 
 
 class TestDimStop:
