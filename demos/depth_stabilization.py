@@ -47,7 +47,7 @@ print(f"\nper-level depths {[d for _, d in rep.per_e_depth]}; "
 kd = kdepth_truncation_profile(M, e_max=3)
 pats = [sorted(p.nonzero_homology) for p in kd.profiles]
 print(f"truncation profiles (nonzero Koszul homology): {pats}")
-print(f"stable grade {kd.stable_kgrade} matches sdepth: {kd.matches_sdepth}")
+print(f"stable grade {kd.stable_kgrade} (profiles settled: {kd.stable})")
 
 seq = [R.poly("x + y + z")]
 flags = regular_sequence_check(seq, M, range(4))

@@ -11,11 +11,12 @@ byte-identical output.
 
 Exit codes: 0 success (unresolved states are reported, never hidden),
 2 parse error (bad syntax, unknown flags or option values such as a
-negative --emax, --levels, --lift-cap or --count, or a --window or
-prime-check --levels below 1), 3 budget exceeded (partial report),
-4 internal invariant violation, 5 input error (the input parses but lies
-outside the command's domain, e.g. a module that vanishes at the origin or
-a Frobenius power whose exponents pass the overflow guard).
+negative --emax, --levels, --lift-cap or --count, a --window or
+prime-check --levels below 1, or an unknown verify suite), 3 budget
+exceeded (partial report), 4 internal invariant violation, 5 input error
+(the input parses but lies outside the command's domain, e.g. a module
+that vanishes at the origin or a Frobenius power whose exponents pass the
+overflow guard).
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ from .frobenius import (FSequence, fedder_f_pure, frobenius_closure,
                         is_frobenius_closed)
 from .groebner import Ideal, colon_ideal, groebner_basis
 from .modules import ModulePresentation
-from .parse import ParseError, parse_poly, parse_poly_list, parse_ring
+from .parse import (ParseError, parse_matrix, parse_poly, parse_poly_list,
+                    parse_ring, parse_roots, parse_terms)
 from .perfclosure import (PerfectClosureIdeal, extended_ideal_membership,
-                          gamma_fseq, parse_root, prime_extension_check)
+                          gamma_fseq, prime_extension_check)
 from .ring import ExponentOverflow, order_from_name
-from .verify import SUITE_ALIASES, SUITE_NAMES, run_suite
 
 DEFAULTS = {"e_max": 4, "window": WINDOW, "lift_cap": 6,
             "budget": 10 ** 6, "seed": 0}
@@ -71,20 +72,8 @@ def _ideal_arg(ns, ring):
 
 def _module_arg(ns, ring):
     if ns.matrix:
-        text = ns.matrix.strip()
-        if text.startswith("["):
-            text = text[1:]
-        if text.endswith("]"):
-            text = text[:-1]
-        rows = [row for row in text.split(";") if row.strip()]
-        entries = [[parse_poly(cell, ring.free()) for cell in row.split(",")]
-                   for row in rows]
-        width = {len(r) for r in entries}
-        if len(width) != 1:
-            raise ParseError("ragged matrix", ns.matrix, 0)
-        cols = [tuple(entries[i][j] for i in range(len(entries)))
-                for j in range(len(entries[0]))]
-        return ModulePresentation(ring, len(entries), cols)
+        rows = parse_matrix(ns.matrix, ring.free())
+        return ModulePresentation(ring, len(rows), list(zip(*rows)))
     if ns.ideal:
         return ModulePresentation.cyclic(ring, _ideal_arg(ns, ring).gens)
     raise ParseError("need --ideal or --matrix", "", 0)
@@ -94,9 +83,8 @@ def _fseq_arg(ns, ring):
     if ns.family == "list":
         if not ns.terms:
             raise ParseError("--family list needs --terms", "", 0)
-        terms = [Ideal(ring, parse_poly_list(t.strip(), ring.free()))
-                 for t in ns.terms.split(";") if t.strip()]
-        return FSequence.explicit(ring, terms)
+        return FSequence.explicit(ring, [
+            Ideal(ring, gens) for gens in parse_terms(ns.terms, ring.free())])
     if ns.ideal is None:
         raise ParseError(f"--family {ns.family} needs --ideal", "", 0)
     chain = (FSequence.bracket_chain if ns.family == "bracket"
@@ -317,10 +305,9 @@ def _cmd_kdepth_profile(ns, ring, budget):
     lines = [f"e={pr['e']}: H nonzero at {pr['nonzero_homology']} "
              f"(kgrade {pr['kgrade']})" for pr in profs]
     stable = rep.stable_kgrade if rep.stable_kgrade is not None else "unresolved"
-    lines.append(f"stable kgrade: {stable}; matches sdepth: {rep.matches_sdepth}")
+    lines.append(f"stable kgrade: {stable}")
     unresolved = ["profile pattern not stable"] if not rep.stable else []
-    return ({"profiles": profs, "stable": rep.stable, "stable_kgrade": stable,
-             "sdepth": rep.sdepth_value, "matches_sdepth": rep.matches_sdepth},
+    return ({"profiles": profs, "stable": rep.stable, "stable_kgrade": stable},
             lines, unresolved)
 
 
@@ -331,24 +318,7 @@ def _cmd_kdepth_profile(ns, ring, budget):
          _opt("--lift-cap", type=_nonnegative_int,
               default=DEFAULTS["lift_cap"]))
 def _cmd_gamma(ns, ring, budget):
-    text = ns.roots.strip()
-    if text.startswith("(") and text.endswith(")"):
-        text = text[1:-1]
-    parts, depthn, cur = [], 0, []
-    for ch in text:
-        if ch == "," and depthn == 0:
-            parts.append("".join(cur))
-            cur = []
-            continue
-        if ch == "(":
-            depthn += 1
-        elif ch == ")":
-            depthn -= 1
-        cur.append(ch)
-    if cur:
-        parts.append("".join(cur))
-    roots = [parse_root(p.strip(), ring) for p in parts if p.strip()]
-    J = PerfectClosureIdeal(ring, roots)
+    J = PerfectClosureIdeal(ring, parse_roots(ns.roots, ring))
     try:
         rep = gamma_fseq(J, ns.levels, ns.lift_cap, budget)
     except Unresolved as exc:
@@ -406,7 +376,7 @@ def _build_parser():
             p.add_argument(flag, **kwargs)
     p = sub.add_parser("verify", parents=[common],
                        help="run a named verification suite")
-    p.add_argument("suite", choices=sorted(set(SUITE_NAMES) | set(SUITE_ALIASES)))
+    p.add_argument("suite", help="examples | oracles | invariants-random")
     p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     p.add_argument("--count", type=_nonnegative_int, default=20)
     p.add_argument("--out", help="write the JSON report to this path")
@@ -415,12 +385,8 @@ def _build_parser():
 
 def _inputs_dict(ns):
     skip = {"command", "json", "budget", "func"}
-    out = {}
-    for k, v in sorted(vars(ns).items()):
-        if k in skip or v is None:
-            continue
-        out[k] = v
-    return out
+    return {k: v for k, v in sorted(vars(ns).items())
+            if k not in skip and v is not None}
 
 
 def main(argv=None):
@@ -432,7 +398,13 @@ def main(argv=None):
         return int(exc.code or 0)
 
     if ns.command == "verify":
-        report = run_suite(ns.suite, seed=ns.seed, count=ns.count,
+        from .verify import run_suite, suite_name   # only verify needs it
+        try:
+            suite = suite_name(ns.suite)
+        except ValueError as exc:
+            print(f"parse error: {exc}", file=sys.stderr)
+            return 2
+        report = run_suite(suite, seed=ns.seed, count=ns.count,
                            budget_limit=ns.budget)
         payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
         if ns.out:
@@ -445,7 +417,7 @@ def main(argv=None):
     handler = COMMANDS[ns.command][0]
     try:
         result, lines, unresolved = handler(ns, parse_ring(ns.ring), budget)
-    except ParseError as exc:
+    except (ParseError, KeyError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:
@@ -459,9 +431,6 @@ def main(argv=None):
     except InternalInvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 4
-    except KeyError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ExponentOverflow) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 5

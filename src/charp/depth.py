@@ -20,11 +20,12 @@ The greedy regular-sequence search is the third route.  On a graded
 module a form f of degree d is regular exactly when M != 0 and the
 K-polynomials satisfy K(M/fM) = (1 - t^d) K(M).  A search computes each
 level's K once and multiplies it by (1 - t^d) after each witness, so a
-test costs the one module basis of M/fM and no syzygies; ungraded inputs
-keep the syzygy test.  The same K gives dim M, and the search stops as
-soon as some level modulo the witness has dimension 0 (depth <= dim).
-Both read only M's own leading terms, so the route stays independent of
-Koszul homology and of n - pd.
+test costs the one module basis of M/fM and no syzygies.  The same K
+gives dim M, and the search stops as soon as some level modulo the
+witness has dimension 0 (depth <= dim).  Both read only M's own leading
+terms, so the route stays independent of Koszul homology and of n - pd.
+Ungraded inputs and non-homogeneous f take the local route, which
+answers at the origin like the Koszul route: (0 :_M f) must vanish in M_m.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from .frobenius import fedder_f_pure
 from .modules import (FreeComplex, ModulePresentation, _kron,
                       diagonal_columns, free_resolution, hilbert_dimension,
                       in_module, k_times_one_minus, kpolynomial, module_colon,
-                      module_colon_by_element, module_groebner, row_degrees)
+                      module_colon_by_element, module_groebner, row_degrees,
+                      span_colon)
 from .ring import Polynomial
 
 
@@ -103,16 +105,14 @@ def koszul_homology_nonzero(xs, M, i, budget=None):
     def relations(blocks):
         return _kron(diagonal_columns(1, blocks, free), rel, free)
 
-    if i == 0:
-        d1 = _kron(koszul_differential(xs, 1, free), eye, free)
-        H0 = ModulePresentation(free, r, d1 + relations(1))
-        return not H0.is_zero_module(budget)
     b_i = comb(n, i)
-    b_low = comb(n, i - 1)
-    di = _kron(koszul_differential(xs, i, free), eye, free)
-    kernel = module_colon(di, relations(b_low), b_low * r, free, budget)
-    if not kernel:
-        return False
+    kernel = diagonal_columns(free.one(), r, free)   # K_0 = S^r: all cycles
+    if i > 0:
+        b_low = comb(n, i - 1)
+        di = _kron(koszul_differential(xs, i, free), eye, free)
+        kernel = module_colon(di, relations(b_low), b_low * r, free, budget)
+        if not kernel:
+            return False
     image = []
     if i < n:
         image = _kron(koszul_differential(xs, i + 1, free), eye, free)
@@ -203,32 +203,40 @@ def _regular_by_hilbert(f, cols, rank, ring, degrees, k, budget):
             == k_times_one_minus(k, f.degree()))
 
 
-def _regular_by_syzygies(f, cols, rank, ring, budget):
-    """The syzygy route: every w with f*w in the column span lies in the
-    span itself, and M/fM does not vanish."""
-    gb = module_groebner(cols, rank, ring, budget)
-    for w in module_colon_by_element(cols, rank, f, ring, budget):
-        if not in_module(w, gb, rank, ring, budget):
-            return False
-    quotient = ModulePresentation(ring, rank,
-                                  list(cols) + diagonal_columns(f, rank, ring))
-    return not quotient.is_zero_module(budget)
+def _unit_at_origin(f):
+    """f(0) != 0: f is a unit of the local ring at the origin."""
+    return f.evaluate((0,) * f.ring.nvars) != 0
+
+
+def _regular_at_origin(f, cols, rank, ring, budget):
+    """The local route, for f in m: f is regular on M_m exactly when
+    M_m != 0 (then M_m != f*M_m by Nakayama) and every w with f*w in the
+    column span is zero in M_m.  Vectors are zero in M_m exactly when
+    their annihilator modulo the columns has a generator outside m."""
+    def zero_at_origin(vectors):
+        colon = span_colon(vectors, cols, rank, ring, budget)
+        return any(_unit_at_origin(g) for g in colon.gens)
+
+    if zero_at_origin(diagonal_columns(ring.one(), rank, ring)):
+        return False
+    return all(zero_at_origin([w]) for w in
+               module_colon_by_element(cols, rank, f, ring, budget))
 
 
 def is_regular_element(f, cols, rank, ring, budget=None, graded=None):
-    """f is a nonzerodivisor on M = coker(cols) and does not act as the
-    whole module (M != f*M).  Graded M and a form f take the Hilbert
-    route, every other input the syzygy route: the route depends on the
-    input only.  Constants are never regular, since M = cM.  `graded` is
-    M's (row degrees, K-polynomial) when a caller already holds them."""
+    """f is regular on M_m for M = coker(cols) and m the origin.  Graded M
+    and a form f take the Hilbert route, every other input the local
+    route: the route depends on the input only.  Neither 0 nor a unit at
+    the origin is ever regular.  `graded` is M's (row degrees,
+    K-polynomial) when a caller already holds them."""
     budget = Budget.ensure(budget)
-    if f.is_constant:
+    if not f or _unit_at_origin(f):
         return False
     if f.is_homogeneous:
         graded = graded or _hilbert_data(cols, rank, ring, budget)
         if graded:
             return _regular_by_hilbert(f, cols, rank, ring, *graded, budget)
-    return _regular_by_syzygies(f, cols, rank, ring, budget)
+    return _regular_at_origin(f, cols, rank, ring, budget)
 
 
 def _quotient_data(graded, f):
@@ -458,18 +466,12 @@ def cdepth_lower_bound(M, e_max=4, seed=0, budget=None):
 class KdepthReport:
     """Koszul profiles of the variables on F^e(M) per level (under the
     truncation isomorphism, those of the fractional bracket powers of the
-    maximal ideal); `sdepth_value` is sdepth's window rule on these Koszul
-    grades, not `sdepth()`, so `matches_sdepth` always equals `stable`."""
+    maximal ideal); `stable_kgrade` is the last grade once the profiles
+    settle by sdepth's window rule."""
 
     profiles: list
     stable: bool
     stable_kgrade: int | None
-    sdepth_value: int | None
-
-    @property
-    def matches_sdepth(self):
-        return (self.stable_kgrade is not None
-                and self.stable_kgrade == self.sdepth_value)
 
 
 def kdepth_truncation_profile(M, e_max=4, budget=None):
@@ -485,6 +487,4 @@ def kdepth_truncation_profile(M, e_max=4, budget=None):
         raise ValueError(_VANISHES)
     stable = _settled([p.nonzero_homology for p in profiles])
     stable_kgrade = profiles[-1].kgrade if stable else None
-    grades = [p.kgrade for p in profiles]
-    sdepth_value = grades[-1] if _settled(grades) else None
-    return KdepthReport(profiles, stable, stable_kgrade, sdepth_value)
+    return KdepthReport(profiles, stable, stable_kgrade)

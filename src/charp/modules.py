@@ -181,13 +181,6 @@ class ModulePresentation:
             cols += diagonal_columns(q, self.rank, free)
         return cols
 
-    def is_zero_module(self, budget=None):
-        """Every unit vector lies in the relation span."""
-        free = self.ring.free()
-        gb = module_groebner(self.lifted_columns(), self.rank, free, budget)
-        return all(in_module(e, gb, self.rank, free, budget)
-                   for e in diagonal_columns(free.one(), self.rank, free))
-
     def __repr__(self):
         if not self.columns:
             return f"free module of rank {self.rank} over {self.ring!r}"

@@ -8,19 +8,20 @@ root element (e, r) becomes r scaled by p^(L-e).  All contractions are then
 ordinary Frobenius preimages in the renamed copy, so the Groebner engine
 never sees a fractional exponent.
 
-Text syntax for root elements: `root(e, <poly>)`, or a bare polynomial for
-level 0.
+Text syntax for root elements (see `parse`): `root(e, <poly>)`, or a bare
+polynomial for level 0.
 """
 
 from __future__ import annotations
 
-import re
+import itertools
 from dataclasses import dataclass
 
 from .budget import Budget, Unresolved
 from .frobenius import (FSequence, frobenius_closure, frobenius_power,
                         frobenius_preimage, fseq_verify)
 from .groebner import Ideal, radical_membership
+from . import parse
 
 
 # ---------------------------------------------------------------------------
@@ -90,14 +91,8 @@ def root_equal(a, b, budget=None):
     return quotient.contains(diff, budget)
 
 
-_ROOT_RE = re.compile(r"\s*root\s*\(\s*(\d+)\s*,(.*)\)\s*$", re.DOTALL)
-
-
 def parse_root(text, ring):
-    m = _ROOT_RE.match(text)
-    if m:
-        return RootElement(ring, int(m.group(1)), ring.poly(m.group(2)))
-    return RootElement(ring, 0, ring.poly(text))
+    return RootElement(ring, *parse.parse_root(text, ring))
 
 
 class PerfectClosureIdeal:
@@ -238,13 +233,10 @@ def _certify_prime(P, budget):
 
 
 def _monomial_primes(ring):
-    import itertools
-    out = []
     names = ring.variables
-    for k in range(len(names) + 1):
-        for combo in itertools.combinations(names, k):
-            out.append(Ideal(ring, [ring.var(v) for v in combo]))
-    return out
+    return [Ideal(ring, [ring.var(v) for v in combo])
+            for k in range(len(names) + 1)
+            for combo in itertools.combinations(names, k)]
 
 
 def prime_extension_check(P, q_levels=3, budget=None):

@@ -36,6 +36,16 @@ def R3xy():
 
 
 @pytest.fixture
+def depth_repro():
+    """J = (x, y) ∩ (x^2, y, z + 1) ∩ the six maximal ideals of the F_2
+    points off the z-axis, by its reduced basis over F_2[x,y,z].  Every
+    linear form vanishes at one of those points, so none is regular on S/J,
+    but z is regular on S_m/J_m = S_m/(x, y): depth 1 at the origin."""
+    return ("(y^2 + y, y*z^2 + y*z, x*z^2 + x*z, x^2*z + x^2 + x*z + x, "
+            "x^2*y + x*y, x^3 + x^2)")
+
+
+@pytest.fixture
 def cusp2():
     """The non-F-pure hypersurface quotient at p = 2."""
     return parse_ring("F_2[x,y,z]/(x^2 + y*z^2)")

@@ -3,6 +3,8 @@
 import json
 import pathlib
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -130,7 +132,7 @@ PINNED = [
      {"per_e_regular": [False] * 5}, 56),
     (("kdepth-profile", "--ring", "F_2[x,y,z]", "--ideal", "(x*y, x*z)",
       "--emax", "2"),
-     {"matches_sdepth": True, "sdepth": 1, "stable": True, "stable_kgrade": 1,
+     {"stable": True, "stable_kgrade": 1,
       "profiles": [{"e": e, "kgrade": 1, "nonzero_homology": [0, 1, 2]}
                    for e in range(3)]}, 234),
     (("cdepth-lb", "--ring", "F_2[x,y,z,w]", "--ideal", "(x*y, z*w)",
@@ -306,11 +308,63 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert f"parse error: --family {family} needs --ideal" in err
 
+    def test_unknown_suite_is_a_parse_error(self, capsys):
+        code, out, err = run(capsys, "verify", "bogus")
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: unknown suite 'bogus'")
+
     def test_unknown_order_is_a_parse_error(self, capsys):
         code, _, err = run(capsys, "gb", "--ring", "F_2[x]", "--ideal", "(x)",
                            "--order", "revlex")
         assert code == 2
         assert "unknown monomial order" in err
+
+
+# Inputs that used to be split by hand: empty items were dropped and bare
+# lists accepted.  Each is now a parse error at its place in the whole text.
+MALFORMED = [
+    ("depth", "--matrix", "[x;]", 3),
+    ("depth", "--matrix", "[x,]", 3),
+    ("depth", "--matrix", "[x;;y]", 3),
+    ("depth", "--matrix", "[x, y; x]", 8),
+    ("depth", "--matrix", "x, y; y, x", 0),
+    ("gamma", "--roots", "root(1,x),,y", 0),
+    ("gamma", "--roots", "(root(1,x),,y)", 11),
+    ("gamma", "--roots", "(root(1,x),", 11),
+    ("gamma", "--roots", "root(1,x), y", 0),
+    ("fseq-verify", "--terms", "(x);;(x)", 4),
+    ("fseq-verify", "--terms", "(x);", 4),
+]
+
+
+@pytest.mark.parametrize("command, flag, text, pos", MALFORMED,
+                         ids=[case[2] for case in MALFORMED])
+def test_malformed_lists_are_parse_errors(capsys, command, flag, text, pos):
+    family = ("--family", "list") if flag == "--terms" else ()
+    code, out, err = run(capsys, command, "--ring", "F_2[x,y]", *family,
+                         flag, text)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ")
+    assert err.endswith(f" at position {pos}: {text!r}\n")
+
+
+def test_ungraded_regularity_is_tested_at_the_origin(capsys, depth_repro):
+    base = ("--ring", "F_2[x,y,z]", "--ideal", depth_repro, "--json")
+    code, out, _ = run(capsys, "cdepth-lb", *base, "--emax", "0")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert (result["bound"], result["exhaustive"], result["witness"]) \
+        == (1, True, ["z"])
+    code, out, _ = run(capsys, "reg-check", *base, "--elements", "(z)",
+                       "--emax", "1")
+    assert json.loads(out)["result"] == {"per_e_regular": [True, True]}
+
+
+def test_cli_import_leaves_verify_unloaded(subprocess_env):
+    probe = "import sys, charp.cli; assert 'charp.verify' not in sys.modules"
+    done = subprocess.run([sys.executable, "-c", probe], env=subprocess_env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 class TestStructuredOutput:
@@ -412,12 +466,12 @@ def _fuzz_argv(rng, name):
                                           else [])
 
 
-def _json_result(capsys, *argv):
-    code, out, _ = run(capsys, *argv, "--budget", "3000", "--json")
+def _json_result(capsys, *argv, budget="3000"):
+    code, out, _ = run(capsys, *argv, "--budget", budget, "--json")
     return json.loads(out)["result"] if code == 0 else None
 
 
-def test_fuzzed_calls_end_in_a_documented_exit_code(capsys):
+def test_fuzzed_calls_end_in_a_documented_exit_code(capsys, depth_repro):
     flags = {flag for _, _, options in COMMANDS.values()
              for flag, _ in options}
     assert flags | {"--ring"} <= set(FUZZ_POOLS), "a flag has no fuzz pool"
@@ -436,43 +490,49 @@ def test_fuzzed_calls_end_in_a_documented_exit_code(capsys):
         codes.add(code)
     assert seen == set(names) and {0, 2, 5} <= codes
     # closed agrees with closure, frobpre undoes frobpow up to containment,
-    # and depth agrees with sdepth's level 0, cdepth-lb --emax 0 and gb
-    agreed = closures = preimages = 0
-    for _ in range(30):
-        ring = rng.choice(FUZZ_POOLS["--ring"])
-        ideal = rng.choice(FUZZ_POOLS["--ideal"])
+    # and depth agrees with sdepth's level 0, cdepth-lb --emax 0 and gb;
+    # the ungraded depth repro closes the seeded draws with a larger budget
+    cases = [(rng.choice(FUZZ_POOLS["--ring"]),
+              rng.choice(FUZZ_POOLS["--ideal"]), "3000") for _ in range(30)]
+    agreed = closures = preimages = bounds = 0
+    for ring, ideal, budget in cases + [("F_2[x,y,z]", depth_repro, "20000")]:
         base = ("--ring", ring, "--ideal", ideal)
-        closed = _json_result(capsys, "closed", *base)
-        closure = _json_result(capsys, "closure", *base)
-        gb = _json_result(capsys, "gb", *base)
+        closed = _json_result(capsys, "closed", *base, budget=budget)
+        closure = _json_result(capsys, "closure", *base, budget=budget)
+        gb = _json_result(capsys, "gb", *base, budget=budget)
         if closed is not None and closure is not None and gb is not None:
             # an unresolved answer still means no growth up to e_max
             assert ((closure["closure"] == gb["basis"])
                     == (closed["closed"] is not False)), base
             closures += 1
-        power = _json_result(capsys, "frobpow", *base)
+        power = _json_result(capsys, "frobpow", *base, budget=budget)
         pre = None if power is None else _json_result(
             capsys, "frobpre", "--ring", ring,
-            "--ideal", "(" + ", ".join(power["basis"]) + ")")
+            "--ideal", "(" + ", ".join(power["basis"]) + ")", budget=budget)
         if pre is not None:
             both = _json_result(capsys, "gb", "--ring", ring, "--ideal",
                                 "(" + ", ".join(pre["basis"]) + ", "
-                                + ideal[1:-1] + ")")
+                                + ideal[1:-1] + ")", budget=budget)
             assert both == {"basis": pre["basis"]}, base
             preimages += 1
-        depth = _json_result(capsys, "depth", *base)
+        depth = _json_result(capsys, "depth", *base, budget=budget)
         if depth is None:
             continue
         depth = depth["depth"]
-        sdepth = _json_result(capsys, "sdepth", *base, "--emax", "0")
+        sdepth = _json_result(capsys, "sdepth", *base, "--emax", "0",
+                              budget=budget)
         if sdepth is not None:
             assert sdepth["per_e_depth"][0] == [0, depth], base
-        bound = _json_result(capsys, "cdepth-lb", *base, "--emax", "0")
+        bound = _json_result(capsys, "cdepth-lb", *base, "--emax", "0",
+                             budget=budget)
         if bound is not None:
+            # an exhaustive bound is sharp
             assert bound["bound"] <= depth, base
+            assert bound["bound"] == depth or not bound["exhaustive"], base
+            bounds += bound["exhaustive"]
         assert gb is not None, base
-        again = _json_result(capsys, "gb", "--ring", ring,
-                             "--ideal", "(" + ", ".join(gb["basis"]) + ")")
+        again = _json_result(capsys, "gb", "--ring", ring, "--ideal",
+                             "(" + ", ".join(gb["basis"]) + ")", budget=budget)
         assert again == gb, base
         agreed += 1
-    assert agreed >= 5 and closures >= 5 and preimages >= 5
+    assert agreed >= 5 and closures >= 5 and preimages >= 5 and bounds >= 5

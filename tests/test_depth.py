@@ -13,7 +13,7 @@ from charp import (Ideal, ModulePresentation, cdepth_lower_bound,
 from charp import depth as depth_mod
 from charp.budget import Budget
 from charp.depth import (_normalized_vectors, _regular_by_hilbert,
-                         _regular_by_syzygies, is_regular_element,
+                         _regular_at_origin, is_regular_element,
                          linear_candidates, quadratic_candidates)
 from charp.modules import _kron, diagonal_columns, kpolynomial, row_degrees
 from charp.ring import Block, GRevLex, Lex
@@ -199,7 +199,7 @@ class TestRegularElementRoutes:
             forms += [ring.var(v) for v in ring.variables]
             k = kpolynomial(cols, rank, ring, degrees)
             for f in forms:
-                want = _regular_by_syzygies(f, cols, rank, ring, Budget())
+                want = _regular_at_origin(f, cols, rank, ring, Budget())
                 got = _regular_by_hilbert(f, cols, rank, ring, degrees, k,
                                           Budget())
                 assert got == want, (cols, f)
@@ -218,7 +218,7 @@ class TestRegularElementRoutes:
         assert is_regular_element(x + y * z, [(x * y,)], 1, R)
         assert not is_regular_element(x + x * y, [(x * y,)], 1, R)
         monkeypatch.undo()
-        monkeypatch.setattr(depth_mod, "_regular_by_syzygies", refuse)
+        monkeypatch.setattr(depth_mod, "_regular_at_origin", refuse)
         assert is_regular_element(z, [(x * y,)], 1, R)
         assert not is_regular_element(x, [(x * y,)], 1, R)
 
@@ -226,6 +226,26 @@ class TestRegularElementRoutes:
         for f in (R2xy.zero(), R2xy.one()):
             assert not is_regular_element(f, [(R2xy.poly("x"),)], 1, R2xy)
             assert not is_regular_element(f, [(R2xy.poly("x + y^2"),)], 1, R2xy)
+
+    def test_ungraded_modules_are_tested_at_the_origin(self, R2xyz,
+                                                       depth_repro):
+        cols = [(g,) for g in Ideal.parse(R2xyz, depth_repro).gens]
+        assert row_degrees(cols, 1) is None
+        for f, want in (("z", True), ("x + z", True), ("y + z", True),
+                        ("x + y + z", True), ("x", False), ("y", False),
+                        ("x + y", False), ("z + 1", False)):
+            assert is_regular_element(R2xyz.poly(f), cols, 1, R2xyz) == want, f
+        M = ModulePresentation.cyclic(R2xyz, [g for (g,) in cols])
+        rep = cdepth_lower_bound(M, e_max=0)
+        assert (rep.bound, rep.exhaustive) == (1, True)
+        assert [str(w) for w in rep.witness] == ["z"]
+        assert depth_at_origin(M) == 1
+
+    def test_module_vanishing_at_the_origin_has_no_regular_element(self,
+                                                                  R2xy):
+        # S/(x + 1) is F_2[y] globally, but zero at the origin
+        cols = [(R2xy.poly("x + 1"),)]
+        assert not is_regular_element(R2xy.poly("y"), cols, 1, R2xy)
 
 
 class TestKPolynomialReuse:
@@ -266,7 +286,7 @@ class TestKPolynomialReuse:
         counts = {"kpolynomial": 0, "hilbert": 0, "inside": 0}
         original = {name: getattr(depth_mod, name) for name in
                     ("kpolynomial", "_regular_by_hilbert",
-                     "_regular_by_syzygies", "is_regular_element")}
+                     "_regular_at_origin", "is_regular_element")}
 
         def kpolynomial_spy(*args):
             counts["kpolynomial"] += 1
@@ -287,7 +307,7 @@ class TestKPolynomialReuse:
                 counts["inside"] -= 1
 
         monkeypatch.setattr(depth_mod, "kpolynomial", kpolynomial_spy)
-        for name in ("_regular_by_hilbert", "_regular_by_syzygies"):
+        for name in ("_regular_by_hilbert", "_regular_at_origin"):
             monkeypatch.setattr(depth_mod, name, route_spy(name))
         monkeypatch.setattr(depth_mod, "is_regular_element", test_spy)
         tests = 0
@@ -317,8 +337,8 @@ class TestKPolynomialReuse:
 
     def test_reg_check_matches_recomputation(self, monkeypatch):
         syzygy_tests = []
-        original = depth_mod._regular_by_syzygies
-        monkeypatch.setattr(depth_mod, "_regular_by_syzygies",
+        original = depth_mod._regular_at_origin
+        monkeypatch.setattr(depth_mod, "_regular_at_origin",
                             lambda *a: syzygy_tests.append(a) or original(*a))
         rng = random.Random("reg-check")
         answers = []
@@ -370,7 +390,7 @@ class TestDimStop:
 
     def test_zero_module_read_off_the_dim_stop(self, R2xy, monkeypatch):
         calls = []
-        monkeypatch.setattr(ModulePresentation, "is_zero_module",
+        monkeypatch.setattr(depth_mod, "koszul_homology_nonzero",
                             lambda *a: calls.append(a))
         M = ModulePresentation(R2xy, 2, [(R2xy.one(), R2xy.zero()),
                                          (R2xy.poly("x"), R2xy.one())])
@@ -486,7 +506,6 @@ class TestComparisonChain:
         for prof in rep.profiles:
             assert prof.nonzero_homology == frozenset({0, 1, 2})
         assert rep.stable and rep.stable_kgrade == 1
-        assert rep.matches_sdepth
 
     def test_kdepth_profile_free(self, R2xy):
         rep = kdepth_truncation_profile(ModulePresentation.free(R2xy), e_max=2)
@@ -515,15 +534,14 @@ class TestComparisonChain:
             kd = kdepth_truncation_profile(M, e_max=3)
             assert cd.bound <= sd.stabilized_value
             assert kd.stable_kgrade == sd.stabilized_value
-            assert kd.matches_sdepth == kd.stable
 
     def test_one_window_rule(self, two_planes):
         # one level is short of the window: neither report settles
         sd = sdepth(two_planes, e_max=0)
         kd = kdepth_truncation_profile(two_planes, e_max=0)
         assert sd.window == depth_mod.WINDOW
-        assert sd.stabilized_value is None and kd.sdepth_value is None
-        assert not kd.stable and not kd.matches_sdepth
+        assert sd.stabilized_value is None
+        assert not kd.stable and kd.stable_kgrade is None
 
     def test_bracket_power_sequence_same_top(self, R2xy):
         M = frobenius_functor(

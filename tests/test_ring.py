@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from charp import (Block, ExponentOverflow, GRevLex, Lex, ParseError,
                    parse_poly, parse_ring)
+from charp.parse import parse_matrix, parse_roots, parse_terms
 from charp.ring import Ring
 
 
@@ -50,6 +51,32 @@ class TestParsing:
     def test_negative_exponent(self):
         with pytest.raises(ParseError, match="negative exponent"):
             parse_poly("x^-2", R2)
+
+    def test_list_productions(self):
+        x, y = R2.gens()
+        zero = R2.zero()
+        assert parse_matrix("[x, 0; 0, y^2]", R2) == [[x, zero], [zero, y ** 2]]
+        assert parse_matrix(" [ x*y ] ", R2) == [[x * y]]
+        assert parse_roots("(root(2, x + y), y, root( 0 ,x))", R2) == \
+            [(2, x + y), (0, y), (0, x)]
+        assert parse_roots("()", R2) == []
+        assert parse_terms("(x, 0);(y);()", R2) == [[x], [y], []]
+
+    def test_root_is_not_a_variable_call(self):
+        R = parse_ring("F_2[root,x]")
+        root, x = R.gens()
+        assert parse_roots("(root(1, root*x), root)", R) == \
+            [(1, root * x), (0, root)]
+
+    @pytest.mark.parametrize("parse, text, pos", [
+        (parse_matrix, "[x, y; x]", 8), (parse_matrix, "[x;]", 3),
+        (parse_matrix, "x, y", 0), (parse_roots, "(root(-1, x))", 6),
+        (parse_roots, "(root(1, x), )", 13), (parse_terms, "(x);", 4),
+        (parse_terms, "(x),(y)", 3)])
+    def test_list_errors_carry_positions(self, parse, text, pos):
+        with pytest.raises(ParseError) as info:
+            parse(text, R2)
+        assert info.value.pos == pos and info.value.text == text
 
     def test_error_carries_position(self):
         try:
