@@ -37,8 +37,8 @@ from .frobenius import (FSequence, fedder_f_pure, frobenius_closure,
                         is_frobenius_closed)
 from .groebner import Ideal, colon_ideal, groebner_basis
 from .modules import ModulePresentation
-from .parse import (ParseError, parse_matrix, parse_poly, parse_poly_list,
-                    parse_ring, parse_roots, parse_terms)
+from .parse import (ParseError, parse_matrix, parse_point, parse_poly,
+                    parse_poly_list, parse_ring, parse_roots, parse_terms)
 from .perfclosure import (PerfectClosureIdeal, extended_ideal_membership,
                           gamma_fseq, prime_extension_check)
 from .ring import ExponentOverflow, order_from_name
@@ -236,10 +236,7 @@ def _cmd_ass_union(ns, ring, budget):
 def _cmd_ass(ns, ring, budget):
     I = _ideal_arg(ns, ring)
     if ns.point:
-        try:
-            point = tuple(int(c) for c in ns.point.split(","))
-        except ValueError:
-            raise ParseError("expected integer coordinates", ns.point, 0) from None
+        point = parse_point(ns.point)
         ans = maximal_in_ass(I, point, budget)
         return ({"maximal_associated": ans},
                 [f"maximal ideal at {point} associated: {ans}"], [])

@@ -21,9 +21,10 @@ module a form f of degree d is regular exactly when M != 0 and the
 K-polynomials satisfy K(M/fM) = (1 - t^d) K(M).  A search computes each
 level's K once and multiplies it by (1 - t^d) after each witness, so a
 test costs the one module basis of M/fM and no syzygies.  The same K
-gives dim M, and the search stops as soon as some level modulo the
-witness has dimension 0 (depth <= dim).  Both read only M's own leading
-terms, so the route stays independent of Koszul homology and of n - pd.
+gives dim M.  The search stops once some level N modulo the witness has
+dimension 0 (tested first in a round) or depth 0, H_n(x; N) = (0 :_N m)
+!= 0 (tested when the linear pool fails); either stop makes the bound
+sharp.  Witnesses are certified only by the Hilbert or the local route.
 Ungraded inputs and non-homogeneous f take the local route, which
 answers at the origin like the Koszul route: (0 :_M f) must vanish in M_m.
 """
@@ -217,10 +218,10 @@ def _regular_at_origin(f, cols, rank, ring, budget):
         colon = span_colon(vectors, cols, rank, ring, budget)
         return any(_unit_at_origin(g) for g in colon.gens)
 
-    if zero_at_origin(diagonal_columns(ring.one(), rank, ring)):
-        return False
-    return all(zero_at_origin([w]) for w in
-               module_colon_by_element(cols, rank, f, ring, budget))
+    # the unit-vector colon last: most candidates fail the first test
+    return (all(zero_at_origin([w]) for w in
+                module_colon_by_element(cols, rank, f, ring, budget))
+            and not zero_at_origin(diagonal_columns(ring.one(), rank, ring)))
 
 
 def is_regular_element(f, cols, rank, ring, budget=None, graded=None):
@@ -331,8 +332,9 @@ class DepthSearchReport:
     """Greedy regular-sequence search outcome: a certified lower bound with
     its witness sequence.  exhaustive means the bound is sharp: either every
     candidate pool was fully enumerated (sharp for sequences drawn from the
-    pools), or the search stopped because some graded level of M modulo the
-    witness has dimension 0, where depth <= dim makes it sharp outright."""
+    pools), or the search stopped because some level N of M modulo the
+    witness has dimension 0 or depth 0 (H_n(x; N) != 0), where no form is
+    regular and the bound is sharp outright."""
 
     bound: int
     witness: tuple
@@ -357,8 +359,9 @@ def _greedy_search(M, e_max, seed, budget):
     """Grow a sequence greedily: the next element is the first pool form
     (linear forms, then homogeneous quadratics) regular on F^e(M) for every
     e <= e_max, modulo the elements already chosen.  A round starts with
-    the dim stop: once some level has dimension 0, no round can extend the
-    witness, and the bound equals that level's depth."""
+    the dim stop, and a round whose linear pool fails asks for depth 0
+    before the quadratic pool: once some level has dimension 0 or depth 0,
+    no round can extend the witness."""
     if e_max < 0:
         # with no levels every form would pass, and the search never ends
         raise ValueError("e_max must be >= 0")
@@ -381,16 +384,15 @@ def _greedy_search(M, e_max, seed, budget):
         if pools is None:  # once per search, and only if a round needs them
             pools = [linear_candidates(free, seed),
                      quadratic_candidates(free, seed)]
-        found = None
-        for forms, full in pools:
-            if not full:
-                exhaustive = False
-            for f in forms:
-                if all(is_regular_element(f, cols, rank, free, budget,
-                                          graded=level)
-                       for cols, level in zip(levels, graded)):
-                    found = f
-                    break
+        for k, (forms, full) in enumerate(pools):
+            if k and any(koszul_homology_nonzero(
+                    free.gens(), ModulePresentation(free, rank, cols),
+                    free.nvars, budget) for cols in levels):
+                return DepthSearchReport(len(witness), tuple(witness), True, seed)
+            exhaustive = exhaustive and full
+            found = next((f for f in forms if all(
+                is_regular_element(f, cols, rank, free, budget, graded=level)
+                for cols, level in zip(levels, graded))), None)
             if found is not None:
                 break
         if found is None:

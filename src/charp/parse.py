@@ -1,5 +1,5 @@
 """Text grammar for every input: rings, polynomials, ideal generator lists,
-presentation matrices, root lists and f-sequence term lists.
+presentation matrices, root lists, f-sequence term lists and points.
 
     ring      :=  "F_" INT "[" name ("," name)* "]" ( "/" poly_list )?
     poly      :=  ["-"] term (("+" | "-") term)*
@@ -12,6 +12,8 @@ presentation matrices, root lists and f-sequence term lists.
     roots     :=  "(" [root ("," root)*] ")"
     root      :=  "root" "(" INT "," poly ")" | poly
     terms     :=  poly_list (";" poly_list)*
+    point     :=  integer ("," integer)*
+    integer   :=  ["-"] INT
 
 Multiplication is always explicit (`y*z^3`, never `yz^3`), powers use `^`,
 and printing round-trips through this grammar bit for bit.  A matrix is
@@ -151,6 +153,13 @@ class _Parser:
         raise ParseError("expected a variable, number or parenthesized "
                          "expression", self.text, pos)
 
+    def parse_integer(self):
+        negate = self.peek()[1] == "-"
+        if negate:
+            self.next()
+        value = int(self.expect_kind("int", "an integer coordinate"))
+        return -value if negate else value
+
     # lists of polynomials -----------------------------------------------
 
     def parse_poly_list(self):
@@ -219,6 +228,13 @@ def parse_terms(text, ring):
     """Parse f-sequence terms `(g, ...);(h, ...)` into generator lists."""
     return _parse_all(text, ring, lambda p: p.items(p.parse_poly_list, ";"),
                       "term list")
+
+
+def parse_point(text):
+    """Parse point coordinates `a1,...,an`, each an optionally negative
+    integer, into a tuple."""
+    return tuple(_parse_all(text, None, lambda p: p.items(p.parse_integer),
+                            "point"))
 
 
 def parse_ring(text):

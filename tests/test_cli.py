@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from charp import depth as depth_mod
 from charp import verify
 from charp.budget import InternalInvariantError
 from charp.cli import COMMANDS, main
@@ -334,14 +335,19 @@ MALFORMED = [
     ("gamma", "--roots", "root(1,x), y", 0),
     ("fseq-verify", "--terms", "(x);;(x)", 4),
     ("fseq-verify", "--terms", "(x);", 4),
+    ("ass", "--point", "0,0,", 4),
+    ("ass", "--point", "0,,1", 2),
+    ("ass", "--point", "0,x", 2),
+    ("ass", "--point", "1-", 1),
 ]
 
 
 @pytest.mark.parametrize("command, flag, text, pos", MALFORMED,
                          ids=[case[2] for case in MALFORMED])
 def test_malformed_lists_are_parse_errors(capsys, command, flag, text, pos):
-    family = ("--family", "list") if flag == "--terms" else ()
-    code, out, err = run(capsys, command, "--ring", "F_2[x,y]", *family,
+    required = {"--terms": ("--family", "list"),
+                "--point": ("--ideal", "(x)")}.get(flag, ())
+    code, out, err = run(capsys, command, "--ring", "F_2[x,y]", *required,
                          flag, text)
     assert code == 2 and out == ""
     assert err.startswith("parse error: ")
@@ -358,6 +364,43 @@ def test_ungraded_regularity_is_tested_at_the_origin(capsys, depth_repro):
     code, out, _ = run(capsys, "reg-check", *base, "--elements", "(z)",
                        "--emax", "1")
     assert json.loads(out)["result"] == {"per_e_regular": [True, True]}
+
+
+def test_depth_zero_stop_skips_the_quadratic_pool(capsys, monkeypatch):
+    # depth 0 at the origin in dimension 1, so the dim stop cannot fire; one
+    # top Koszul group ends the search after the 7 linear forms, not 70
+    tested = []
+    original = depth_mod.is_regular_element
+    monkeypatch.setattr(depth_mod, "is_regular_element",
+                        lambda f, *a, **k: tested.append(f) or original(f, *a, **k))
+    code, out, _ = run(capsys, "cdepth-lb", "--ring", "F_2[x,y,z]/(x*y, y*z)",
+                       "--ideal", "(x, y)", "--matrix", "[x, y; y, x]",
+                       "--emax", "1", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["result"] == {"bound": 0, "exhaustive": True, "seed": 0,
+                              "witness": []}
+    assert len(tested) <= 7 and all(f.degree() == 1 for f in tested)
+    assert data["budget_used"] == 276
+
+
+def test_depth_zero_stop_makes_a_sampled_pool_bound_sharp(capsys):
+    # 5^6 quadratic forms exceed the exhaustive cap: the pool is sampled,
+    # but (0 :_M m) != 0 shows that no form at all is regular
+    code, out, _ = run(capsys, "cdepth-lb", "--ring", "F_5[x,y,z]", "--ideal",
+                       "(x^2, x*y, x*z)", "--emax", "0", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["result"] == {"bound": 0, "exhaustive": True, "seed": 0,
+                              "witness": []}
+    assert data["budget_used"] == 478
+
+
+def test_point_takes_signed_integers(capsys):
+    code, out, _ = run(capsys, "ass", "--ring", "F_3[x,y]", "--ideal",
+                       "(x*y, x^2)", "--point=-3, 0", "--json")
+    assert code == 0
+    assert json.loads(out)["result"] == {"maximal_associated": True}
 
 
 def test_cli_import_leaves_verify_unloaded(subprocess_env):

@@ -17,7 +17,8 @@ from charp.depth import (_normalized_vectors, _regular_by_hilbert,
                          linear_candidates, quadratic_candidates)
 from charp.modules import _kron, diagonal_columns, kpolynomial, row_degrees
 from charp.ring import Block, GRevLex, Lex
-from charp.verify import random_form, random_graded_module
+from charp.verify import (random_form, random_graded_cyclic_ideal,
+                          random_graded_module)
 
 
 @pytest.fixture
@@ -408,6 +409,67 @@ class TestDimStop:
                     cdepth_lower_bound(M, e_max=1)):
             assert rep.bound == 1 and rep.exhaustive
             assert str(rep.witness[0]) == "x + y + w + 2*v + u"
+
+
+class TestDepthZeroStop:
+    """Between the linear and the quadratic pool the search asks whether
+    some level N has H_n(x; N) = (0 :_N m) != 0.  Then m is associated to
+    N, no form is regular on N, and the search stops as exhaustive."""
+
+    @staticmethod
+    def _modules(depth_repro):
+        rng = random.Random("depth-zero-stop")
+        out = []
+        for ring_text in ("F_2[x,y,z]", "F_3[x,y]"):
+            ring = parse_ring(ring_text)
+            for _ in range(16):
+                I = random_graded_cyclic_ideal(ring, rng, max_deg=4)
+                if not I.is_unit:
+                    out.append(ModulePresentation.cyclic(ring, I.gens))
+        # depth 1, but every linear form over F_3 divides x^3*y - x*y^3:
+        # the stop must not fire before the quadratic pool finds x^2 + y^2
+        R3 = parse_ring("F_3[x,y]")
+        out.append(ModulePresentation.cyclic(R3, [R3.poly("x^3*y - x*y^3")]))
+        R = parse_ring("F_2[x,y,z]")
+        out.append(ModulePresentation.cyclic(
+            R, list(Ideal.parse(R, depth_repro).gens) + [R.poly("z")]))
+        Q = parse_ring("F_2[x,y,z]/(x*y, y*z)")
+        out.append(ModulePresentation(Q, 2, [(Q.poly("x"), Q.poly("y")),
+                                             (Q.poly("y"), Q.poly("x"))]))
+        return out
+
+    def test_no_pool_form_is_regular_where_the_stop_fires(self, depth_repro,
+                                                         monkeypatch):
+        fired = []
+        original = depth_mod.koszul_homology_nonzero
+
+        def spy(xs, M, i, budget=None):
+            answer = original(xs, M, i, budget)
+            if answer and i > 0:  # i = 0 is the M_m = 0 check of ungraded M
+                fired.append(M)
+            return answer
+
+        monkeypatch.setattr(depth_mod, "koszul_homology_nonzero", spy)
+        modules = self._modules(depth_repro)
+        assert len(modules) >= 30
+        stops = []
+        for M in modules:
+            fired.clear()
+            rep = cdepth_lower_bound(M, e_max=1)
+            assert len(fired) <= 1
+            for N in fired:
+                # the pool exhaustion the stop skips, form by form
+                assert rep.exhaustive
+                free, cols = N.ring, list(N.columns)
+                graded = depth_mod._hilbert_data(cols, N.rank, free, None)
+                for forms, _ in (linear_candidates(free),
+                                 quadratic_candidates(free)):
+                    for f in forms:
+                        assert not is_regular_element(
+                            f, cols, N.rank, free, graded=graded), (M, N, f)
+            stops.append(bool(fired))
+        # the repro modulo z and the quotient-ring module stop this way
+        assert sum(stops) >= 10 and stops[-2:] == [True, True]
 
 
 class TestFrobeniusFunctor:
