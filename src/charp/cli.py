@@ -386,10 +386,27 @@ def _inputs_dict(ns):
             if k not in skip and v is not None}
 
 
+def _attach_dash_values(argv):
+    """Write `--flag -x` as `--flag=-x`.  argparse reads an argument that
+    starts with '-' and is no negative number as an option, but every
+    charp option except -h starts with '--', so such an argument after an
+    option is that option's value (`ass --point -1,0`, `--poly -x`)."""
+    out = []
+    for arg in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and arg.startswith("-") and not arg.startswith("--")
+                and arg != "-h"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_attach_dash_values(argv))
     except SystemExit as exc:
         # argparse exits 2 on bad flags, matching the parse-error contract
         return int(exc.code or 0)

@@ -4,17 +4,17 @@ The Frobenius functor acts on a presentation by raising every relation
 entry to the q-th power; for a cyclic module R/J this is R/J^[q], the
 concrete left-module avatar under which left multiplication by the ring is
 ordinary multiplication.  Depth at the origin is the Koszul grade of the
-variables, computed homology group by homology group:
+variables, read off one walk down the Koszul complex from H_n:
 
-    H_i(x; M) != 0  <=>  some kernel generator of the i-th differential
-                         (tensored with the presentation) escapes the span
-                         of the (i+1)-st image and the relation block.
+    H_i(x; M) != 0  <=>  some cycle of the i-th differential (tensored
+                         with the presentation) escapes the boundaries,
+                         the span of the (i+1)-st image and the relations.
 
-Kernels are module colons of d_i into the relation block (one POT basis
-in which only the columns of d_i carry tags), images are module
-membership questions, so everything reduces to the module engine.  In the
-graded free-ring case the answer is cross-checked against the projective
-dimension through the depth + pd = n identity.
+The cycles are one module colon of d_i into the relation block (one POT
+basis in which only the columns of d_i carry tags); its heads are the
+boundaries one degree down, so everything reduces to the module engine.
+In the graded free-ring case the answer is cross-checked against the
+projective dimension through the depth + pd = n identity.
 
 The greedy regular-sequence search is the third route.  On a graded
 module a form f of degree d is regular exactly when M != 0 and the
@@ -62,18 +62,15 @@ def frobenius_functor(M, e):
 # ---------------------------------------------------------------------------
 # Koszul complexes
 
-def _subsets(n, i):
-    return list(itertools.combinations(range(n), i))
-
-
 def koszul_differential(xs, i, ring):
     """Columns of d_i : K_i -> K_{i-1} for the Koszul complex on xs, with
     subsets ordered lexicographically and the usual alternating signs."""
     n = len(xs)
-    rows = {s: idx for idx, s in enumerate(_subsets(n, i - 1))}
+    rows = {s: idx for idx, s in
+            enumerate(itertools.combinations(range(n), i - 1))}
     cols = []
     zero = ring.zero()
-    for S in _subsets(n, i):
+    for S in itertools.combinations(range(n), i):
         col = [zero] * len(rows)
         for k, j in enumerate(S):
             rest = S[:k] + S[k + 1:]
@@ -91,35 +88,42 @@ def koszul_complex(xs, ring):
                                  for i in range(1, n + 1)])
 
 
-def koszul_homology_nonzero(xs, M, i, budget=None):
-    """Decide H_i(x; M) != 0 for the presented module M."""
+def koszul_homology(xs, M, top, budget=None):
+    """Yield (i, H_i(x; M) != 0) for i = top, ..., 0.  For i > 0 one POT
+    basis gives the cycles Z_i, the colon of d_i into the relations, and
+    as its heads the next degree's boundaries image(d_i) + relations; so
+    only the start degree builds its boundaries, and only if Z_top != 0."""
     budget = Budget.ensure(budget)
     free = M.ring.free()
     xs = [x.transported(free) for x in xs]
-    n = len(xs)
-    if i < 0 or i > n:
-        return False
-    r = M.rank
+    n, r = len(xs), M.rank
     rel = M.lifted_columns()
     eye = diagonal_columns(1, r, free)
 
-    def relations(blocks):
-        return _kron(diagonal_columns(1, blocks, free), rel, free)
+    def differential(i):   # of K (x) S^r; no columns for i > n
+        return _kron(koszul_differential(xs, i, free), eye, free)
 
-    b_i = comb(n, i)
-    kernel = diagonal_columns(free.one(), r, free)   # K_0 = S^r: all cycles
-    if i > 0:
-        b_low = comb(n, i - 1)
-        di = _kron(koszul_differential(xs, i, free), eye, free)
-        kernel = module_colon(di, relations(b_low), b_low * r, free, budget)
-        if not kernel:
-            return False
-    image = []
-    if i < n:
-        image = _kron(koszul_differential(xs, i + 1, free), eye, free)
-    span = image + relations(b_i)
-    gb = module_groebner(span, b_i * r, free, budget)
-    return any(not in_module(k, gb, b_i * r, free, budget) for k in kernel)
+    def relations(i):   # of K_i (x) M
+        return _kron(diagonal_columns(1, comb(n, i), free), rel, free)
+
+    boundaries = None
+    for i in range(top, -1, -1):
+        rank = comb(n, i) * r
+        cycles, below = diagonal_columns(free.one(), r, free), None  # Z_0
+        if i > 0:
+            cycles, below = module_colon(differential(i), relations(i - 1),
+                                         comb(n, i - 1) * r, free, budget)
+        if cycles and boundaries is None:
+            boundaries = module_groebner(differential(i + 1) + relations(i),
+                                         rank, free, budget)
+        yield i, any(not in_module(z, boundaries, rank, free, budget)
+                     for z in cycles)
+        boundaries = below
+
+
+def koszul_homology_nonzero(xs, M, i, budget=None):
+    """H_i(x; M) != 0: the first step of a walk started at i."""
+    return 0 <= i <= len(xs) and next(koszul_homology(xs, M, i, budget))[1]
 
 
 @dataclass
@@ -140,12 +144,10 @@ class KoszulProfile:
 
 def kgrade(xs, M, budget=None):
     """Full Koszul profile of the sequence xs on M."""
-    budget = Budget.ensure(budget)
     xs = tuple(xs)
-    n = len(xs)
-    nonzero = frozenset(i for i in range(n + 1)
-                        if koszul_homology_nonzero(xs, M, i, budget))
-    return KoszulProfile(xs, n, nonzero)
+    nonzero = frozenset(i for i, h in koszul_homology(xs, M, len(xs), budget)
+                        if h)
+    return KoszulProfile(xs, len(xs), nonzero)
 
 
 # ---------------------------------------------------------------------------
@@ -158,14 +160,9 @@ def depth_at_origin(M, cross_check=True, budget=None):
     """Koszul depth of the variables on M; in the graded free-ring case the
     value is cross-checked against n - pd(M)."""
     budget = Budget.ensure(budget)
-    free = M.ring.free()
-    xs = list(free.gens())
-    n = len(xs)
-    depth = None
-    for h in range(n, -1, -1):
-        if koszul_homology_nonzero(xs, M, h, budget):
-            depth = n - h
-            break
+    n = M.ring.nvars
+    depth = next((n - i for i, h in koszul_homology(
+        M.ring.free().gens(), M, n, budget) if h), None)
     if depth is None:
         raise ValueError(_VANISHES)
     if (cross_check and not M.ring.is_quotient
@@ -375,20 +372,20 @@ def _greedy_search(M, e_max, seed, budget):
     graded = [_hilbert_data(cols, rank, free, budget) for cols in levels]
     if not (graded[0] or koszul_homology_nonzero(free.gens(), M, 0, budget)):
         raise ValueError(_VANISHES)
-    pools = None
+    pools = []   # each built once per search, when a round first needs it
     witness = []
     exhaustive = True
     while True:
         if _dimension_zero(graded, free.nvars):
             return DepthSearchReport(len(witness), tuple(witness), True, seed)
-        if pools is None:  # once per search, and only if a round needs them
-            pools = [linear_candidates(free, seed),
-                     quadratic_candidates(free, seed)]
-        for k, (forms, full) in enumerate(pools):
+        for k, build in enumerate((linear_candidates, quadratic_candidates)):
             if k and any(koszul_homology_nonzero(
                     free.gens(), ModulePresentation(free, rank, cols),
                     free.nvars, budget) for cols in levels):
                 return DepthSearchReport(len(witness), tuple(witness), True, seed)
+            if k == len(pools):
+                pools.append(build(free, seed))
+            forms, full = pools[k]
             exhaustive = exhaustive and full
             found = next((f for f in forms if all(
                 is_regular_element(f, cols, rank, free, budget, graded=level)

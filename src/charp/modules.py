@@ -15,7 +15,7 @@ in the span of cols are the tails of the basis elements of
 <(maps[k]; e_k), (c; 0)> in S^(rank + len(maps)) that vanish on the first
 rank positions, which POT ranks first.  Only the maps are tagged.  A
 syzygy module is the colon into the zero module; ideal quotients,
-annihilators, the nonzerodivisor test and Koszul cycles are colons too.
+annihilators, the nonzerodivisor test and Koszul homology are colons too.
 
 A ModulePresentation is a cokernel: M = S^rank / (column span of relations).
 Quotient rings are handled by appending one relation column per quotient
@@ -114,9 +114,10 @@ def in_module(vec, gb, rank, ring, budget=None):
 # kernels
 
 def module_colon(maps, cols, rank, ring, budget=None):
-    """Generators of {w : sum w_k * maps[k] in the span of cols}: the tails
-    of the basis elements of <(maps[k]; e_k), (c; 0)> in
-    S^(rank + len(maps)) whose first rank entries vanish."""
+    """(colon, span): generators of {w : sum w_k * maps[k] in the span of
+    cols}, the tails of the basis elements of <(maps[k]; e_k), (c; 0)> in
+    S^(rank + len(maps)) whose first rank entries vanish, and the heads of
+    the others, the reduced basis of the span of maps and cols."""
     maps = list(maps)
     zero, one = ring.zero(), ring.one()
     tagged = []
@@ -126,13 +127,14 @@ def module_colon(maps, cols, rank, ring, budget=None):
         tagged.append(tuple(col) + tuple(one if t == k else zero
                                          for t in range(len(maps))))
     gb = module_groebner(tagged, rank + len(maps), ring, budget)
-    return tuple(v[rank:] for v in gb if vec_is_zero(v[:rank]))
+    return (tuple(v[rank:] for v in gb if vec_is_zero(v[:rank])),
+            tuple(v[:rank] for v in gb if not vec_is_zero(v[:rank])))
 
 
 def syzygy_module(columns, rank, ring, budget=None):
     """Generators of {v : sum v_j * columns[j] = 0} as vectors of length
     len(columns): the colon of the columns into the zero module."""
-    return module_colon(columns, (), rank, ring, budget)
+    return module_colon(columns, (), rank, ring, budget)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +454,8 @@ def span_colon(vectors, cols, rank, ring, budget=None):
     copies of cols (the unit ideal for k = 0, whose stack is empty)."""
     stacked = tuple(e for v in vectors for e in v)
     blocks = _kron(diagonal_columns(1, len(vectors), ring), cols, ring)
-    colon = module_colon([stacked], blocks, len(vectors) * rank, ring, budget)
+    colon, _ = module_colon([stacked], blocks, len(vectors) * rank, ring,
+                            budget)
     return Ideal(ring, [w[0] for w in colon])
 
 
@@ -468,4 +471,4 @@ def annihilator(pres, budget=None):
 def module_colon_by_element(cols, rank, f, ring, budget=None):
     """Generators of {w in S^rank : f*w in column span}."""
     return module_colon(diagonal_columns(f, rank, ring), cols, rank, ring,
-                        budget)
+                        budget)[0]

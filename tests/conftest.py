@@ -1,11 +1,13 @@
 import itertools
 import os
 import pathlib
+import random
 
 import pytest
 
 import charp
-from charp import parse_ring
+from charp import ModulePresentation, frobenius_functor, parse_ring
+from charp.verify import random_graded_module
 
 
 @pytest.fixture
@@ -33,6 +35,24 @@ def R2xyz():
 @pytest.fixture
 def R3xy():
     return parse_ring("F_3[x,y]")
+
+
+@pytest.fixture(scope="session")
+def koszul_levels():
+    """F^e(M) for e <= 2 over seeded graded modules M of rank >= 2, over
+    free and quotient rings: the inputs of the Koszul walk's checks."""
+    rng = random.Random("colon-heads")
+    rings = [parse_ring(t) for t in ("F_2[x,y,z]", "F_3[x,y]",
+                                     "F_2[x,y,z]/(x*y, y*z)",
+                                     "F_3[x,y]/(x^2 - y^3)")]
+    levels = []
+    for k in range(12):
+        ring = rings[k % len(rings)]
+        M = random_graded_module(ring.free(), rng)
+        if M.rank >= 2:
+            M = ModulePresentation(ring, M.rank, M.columns)
+            levels += [frobenius_functor(M, e) for e in range(3)]
+    return levels
 
 
 @pytest.fixture

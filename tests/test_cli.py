@@ -135,7 +135,7 @@ PINNED = [
       "--emax", "2"),
      {"stable": True, "stable_kgrade": 1,
       "profiles": [{"e": e, "kgrade": 1, "nonzero_homology": [0, 1, 2]}
-                   for e in range(3)]}, 234),
+                   for e in range(3)]}, 148),
     (("cdepth-lb", "--ring", "F_2[x,y,z,w]", "--ideal", "(x*y, z*w)",
       "--emax", "2"),
      {"bound": 2, "exhaustive": True, "seed": 0, "witness": ["z + w", "x + y"]},
@@ -403,6 +403,19 @@ def test_point_takes_signed_integers(capsys):
     assert json.loads(out)["result"] == {"maximal_associated": True}
 
 
+@pytest.mark.parametrize("argv, result", [
+    (("ass", "--ring", "F_3[x,y]", "--ideal", "(x*y + y, x^2 + 2*x + 1)",
+      "--point", "-1,0"), {"maximal_associated": True}),
+    (("member-inf", "--ring", "F_2[x,y]", "--ideal", "(x)", "--poly", "-x"),
+     {"member": True}),
+], ids=["point", "poly"])
+def test_option_values_may_start_with_a_dash(capsys, argv, result):
+    # the value as its own argument, not only as --flag=value
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out)["result"] == result
+
+
 def test_cli_import_leaves_verify_unloaded(subprocess_env):
     probe = "import sys, charp.cli; assert 'charp.verify' not in sys.modules"
     done = subprocess.run([sys.executable, "-c", probe], env=subprocess_env,
@@ -484,7 +497,7 @@ FUZZ_POOLS = {
     "--family": ["bracket", "constant", "list"],
     "--levels": ["0", "1", "2", "-1"],
     "--terms": ["(x, y);(x, y^2)", "(x);(x^2);(x^4)", "(y);(x)", ""],
-    "--point": ["0,0", "1,0", "0", "a,b"],
+    "--point": ["0,0", "1,0", "0", "a,b", "-1,0"],
     "--no-cross-check": [None],
     "--window": ["1", "2", "0"],
     "--elements": ["(x)", "(x + y)", "(y, x)", "(1)", "(x^)"],
@@ -492,7 +505,7 @@ FUZZ_POOLS = {
     "--roots": ["(root(1,x), y)", "(root(2, x + y))", "(x)", "(root(1,x)",
                 "(root(1000000000000, 1), y)"],
     "--lift-cap": ["0", "3", "-1"],
-    "--poly": ["x", "x + y", "1", "x^"],
+    "--poly": ["x", "x + y", "1", "x^", "-x"],
 }
 
 

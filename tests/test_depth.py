@@ -33,6 +33,21 @@ class TestKoszulComplex:
         ring = parse_ring(ring_text)
         assert koszul_complex(list(ring.gens()), ring).composes_to_zero()
 
+    def test_walk_agrees_with_each_group_alone(self, koszul_levels):
+        # the walk takes each degree's boundaries from the colon above it;
+        # koszul_homology_nonzero(xs, M, i) builds those of degree i itself
+        R = parse_ring("F_2[x,y]")
+        xs = list(R.gens())
+        bracket = [(list(x.frobenius(1) for x in xs),
+                    frobenius_functor(ModulePresentation.cyclic(R, gens), 1))
+                   for gens in ([R.poly("x^2"), R.poly("x*y")],
+                                [R.poly("x*y")], [R.poly("y^2")])]
+        cases = [(list(M.ring.free().gens()), M) for M in koszul_levels]
+        for seq, M in cases + bracket:
+            single = {i for i in range(len(seq) + 1)
+                      if koszul_homology_nonzero(seq, M, i)}
+            assert kgrade(seq, M).nonzero_homology == single, M
+
     def test_kron_blocks(self, R2xy):
         # A (x) I_2 and I_2 (x) R, columns (j, l) and rows (i, k) in order
         x, y, zero = R2xy.poly("x"), R2xy.poly("y"), R2xy.zero()
@@ -123,7 +138,8 @@ class TestClassicalSearch:
         assert rep.bound == 1
         assert rep.witness[0].degree() == 2
 
-    def test_pools_are_built_once_per_search(self, R2xyz, monkeypatch):
+    def test_pools_are_built_once_per_search(self, R2xy, R2xyz,
+                                             monkeypatch):
         calls = []
 
         def counted(name):
@@ -132,10 +148,26 @@ class TestClassicalSearch:
 
         for name in ("linear_candidates", "quadratic_candidates"):
             monkeypatch.setattr(depth_mod, name, counted(name))
-        # three rounds find x, y, z; the fourth stops at dimension 0
+        # three rounds find x, y, z; the fourth stops at dimension 0, and
+        # no round reaches the quadratic pool
         rep = cdepth_lower_bound(ModulePresentation.free(R2xyz), e_max=1)
         assert rep.bound == 3
-        assert sorted(calls) == ["linear_candidates", "quadratic_candidates"]
+        assert calls == ["linear_candidates"]
+        # every linear form over F_3 divides x^3*y - x*y^3: the first round
+        # builds the quadratic pool, the second stops at dimension 0
+        calls.clear()
+        R3 = parse_ring("F_3[x,y]")
+        M = ModulePresentation.cyclic(R3, [R3.poly("x^3*y - x*y^3")])
+        assert cdepth_lower_bound(M, e_max=1).bound == 1
+        assert calls == ["linear_candidates", "quadratic_candidates"]
+        # depth 0 in dimension 1: the depth-0 stop ends the first round
+        # before it needs the quadratic pool
+        calls.clear()
+        M = ModulePresentation.cyclic(R2xy, [R2xy.poly("x^2"),
+                                             R2xy.poly("x*y")])
+        rep = classical_depth_search(M)
+        assert (rep.bound, rep.exhaustive) == (0, True)
+        assert calls == ["linear_candidates"]
         # a search that stops in its first round needs no pool at all
         calls.clear()
         field = ModulePresentation.cyclic(R2xyz, list(R2xyz.gens()))

@@ -176,8 +176,8 @@ class TestColon:
         g = parse_poly(by, free)
         budget, direct = Budget(), Budget()
         C = colon_ideal(I, Ideal(ring, [g]), budget)
-        tails = module_colon([(g,)], [(h,) for h in I.lifted_gens()], 1,
-                             free, direct)
+        tails, _ = module_colon([(g,)], [(h,) for h in I.lifted_gens()], 1,
+                                free, direct)
         assert budget.used == direct.used == steps
         assert C.gens == tuple(w[0].transported(ring) for w in tails)
         assert C.basis_str() == basis
@@ -224,8 +224,8 @@ def _colon_intersect(I, J):
     zero, one = ring.zero(), ring.one()
     cols = [(g, zero) for g in I.lifted_gens()]
     cols += [(zero, h.transported(ring)) for h in J.lifted_gens()]
-    return Ideal(ring, [w[0] for w in module_colon([(one, one)], cols, 2,
-                                                   ring)])
+    colon, _ = module_colon([(one, one)], cols, 2, ring)
+    return Ideal(ring, [w[0] for w in colon])
 
 
 def _random_ideal(ring, rng, dense_poly):
@@ -294,8 +294,8 @@ class TestIntersect:
                        for _ in range(count)]
             want = Ideal(ring, [ring.one()])
             for v in vectors:
-                part = Ideal(ring, [w[0] for w in
-                                    module_colon([v], cols, rank, ring)])
+                colon, _ = module_colon([v], cols, rank, ring)
+                part = Ideal(ring, [w[0] for w in colon])
                 want = intersect(want, part)
             got = span_colon(vectors, cols, rank, ring)
             assert got.groebner_basis() == want.groebner_basis(), (cols,

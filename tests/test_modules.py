@@ -136,8 +136,10 @@ def _colon_by_tagging_every_column(maps, cols, rank, ring):
 
 class TestModuleColon:
     def _agree(self, maps, cols, rank, ring):
-        colon = module_colon(maps, cols, rank, ring)
+        colon, span = module_colon(maps, cols, rank, ring)
         m = len(maps)
+        # the heads of the same basis are the reduced basis of the span
+        assert span == module_groebner(list(maps) + list(cols), rank, ring)
         assert module_groebner(colon, m, ring) == module_groebner(
             _colon_by_tagging_every_column(maps, cols, rank, ring), m, ring)
         # and each generator is in the colon by definition
@@ -172,6 +174,20 @@ class TestModuleColon:
         self._agree(di, _kron(diagonal_columns(1, low, ring), rel, ring),
                     low, ring)
 
+    def test_koszul_blocks_of_frobenius_levels(self, koszul_levels):
+        # the colons of the Koszul walk: d_i into the relations of K_{i-1}
+        assert len(koszul_levels) >= 24
+        for M in koszul_levels:
+            free = M.ring.free()
+            xs = list(free.gens())
+            eye = diagonal_columns(1, M.rank, free)
+            rel = M.lifted_columns()
+            for i in range(1, len(xs) + 1):
+                low = comb(len(xs), i - 1)
+                di = _kron(koszul_differential(xs, i, free), eye, free)
+                self._agree(di, _kron(diagonal_columns(1, low, free), rel,
+                                      free), low * M.rank, free)
+
     def test_no_relation_columns_is_the_syzygy_module(self, R2xyz):
         maps = [(R2xyz.poly(v),) for v in "xyz"]
         colon = self._agree(maps, (), 1, R2xyz)
@@ -180,7 +196,8 @@ class TestModuleColon:
         assert len(colon) == 3
 
     def test_no_maps(self, R2xy):
-        assert module_colon((), [(R2xy.poly("x"),)], 1, R2xy) == ()
+        x = R2xy.poly("x")
+        assert module_colon((), [(x,)], 1, R2xy) == ((), ((x,),))
         assert syzygy_module((), 1, R2xy) == ()
 
     def test_quotient_ring_columns(self):
