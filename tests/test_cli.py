@@ -423,6 +423,23 @@ def test_cli_import_leaves_verify_unloaded(subprocess_env):
     assert done.returncode == 0, done.stderr
 
 
+# The exit code and --json `result` of a fixed list of calls: the README
+# commands, each subcommand over a free and a quotient ring, module inputs
+# by --matrix, each order, and exit-2, 3 and 5 cases.  `budget_used` is not
+# kept here (test_pinned_json pins it); an entry changes only with a fix.
+ANSWERS = pathlib.Path(__file__).parent / "data" / "cli_answers.json"
+
+
+def test_answer_battery_replays(capsys):
+    moved = []
+    for case in json.loads(ANSWERS.read_text()):
+        code, out, _ = run(capsys, *case["argv"], "--json")
+        result = json.loads(out)["result"] if code == 0 else None
+        if (code, result) != (case["exit"], case["result"]):
+            moved.append((case["argv"], code, result))
+    assert moved == []
+
+
 class TestStructuredOutput:
     def test_stable_fields(self, capsys):
         _, out, _ = run(capsys, "closed", "--ring", "F_2[x,y]",
