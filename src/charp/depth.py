@@ -116,8 +116,8 @@ def koszul_homology(xs, M, top, budget=None):
         if cycles and boundaries is None:
             boundaries = module_groebner(differential(i + 1) + relations(i),
                                          rank, free, budget)
-        yield i, any(not in_module(z, boundaries, rank, free, budget)
-                     for z in cycles)
+        yield i, bool(cycles) and not in_module(cycles, boundaries, rank,
+                                                free, budget)
         boundaries = below
 
 

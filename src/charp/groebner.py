@@ -2,13 +2,15 @@
 
 Everything here runs in the free polynomial ring; ideals of a quotient ring
 R = S/I0 are represented by their lifts to S (generators plus the quotient
-generators), so a single engine answers every query; module bases run
-through it too, with module terms encoded under the POT order (see
-modules.py).  Pair selection uses the sugar strategy with both classical
-pair-skipping criteria, and ties are broken by (sugar, lcm key, indices),
-so repeated runs produce bit-identical reduced bases.  Ideal quotients
-are one module colon (modules.span_colon), so _nf_dict is the only
-division loop.
+generators), so a single engine answers every query.  The engine,
+`term_basis` and `term_remainders`, takes and returns term lists of
+(exponent tuple, c) pairs, largest first, with p, the order and the tuple
+length: `buchberger` and `normal_form_poly` wrap it for polynomials and
+modules.py for vectors, as POT term lists.  Pair selection uses the sugar
+strategy with both classical pair-skipping criteria, and ties are broken
+by (sugar, lcm key, indices), so repeated runs produce bit-identical
+reduced bases.  Ideal quotients are one module colon (modules.span_colon),
+so _nf_dict is the only division loop.
 
 Packed terms (Monagan & Pearce, CASC 2007).  Inside the engine a monomial
 is one Python int.  Its low bits hold the exponents E, one field of `bits`
@@ -20,11 +22,10 @@ decides every comparison between distinct monomials, plain int comparison
 is the monomial order.  b divides m exactly when (m - b) has no guard bit
 set: a field of m below the one of b borrows, and its guard bit shows it.
 Module positions are the two POT slots of E, so a reducer's position is
-`E & slotmask`.  Polynomials are packed once at the boundary (the input
-generators of `buchberger`, the arguments of `normal_form_poly`) and the
-reduced basis or remainder is unpacked on the way out; the basis, the
-S-polynomials, the reducer table, the remainders and the pair keys stay
-packed in between.
+`E & slotmask`.  This module alone knows the packed form: term lists are
+packed on the way into the engine (`term_remainders` packs its basis once
+for all its dividends) and unpacked on the way out, and everything in
+between stays packed.
 
 Field width.  `bits` is the bit length of the largest input exponent plus
 _FIELD_MARGIN, so an exponent may grow 2^_FIELD_MARGIN-fold past the input
@@ -103,20 +104,24 @@ def _packing(order, n, bits):
     return _Packing(order, n, bits)
 
 
-def _packing_for(polys, ring):
-    top = max((max(m) for g in polys for m, _ in g.terms), default=0)
-    return _packing(ring.order, ring.nvars, top.bit_length() + _FIELD_MARGIN)
+def _packing_for(term_lists, order, n):
+    top = max((max(m) for g in term_lists for m, _ in g), default=0)
+    return _packing(order, n, top.bit_length() + _FIELD_MARGIN)
 
 
-def _pack(g, pk):
-    """The terms of g as packed (m, c) pairs, largest first."""
+def _pack(terms, pk):
     encode = pk.encode
-    return tuple((encode(m), c) for m, c in g.terms)
+    return tuple((encode(m), c) for m, c in terms)
 
 
-def _unpack(terms, ring, pk):
+def _unpack(terms, pk):
     decode = pk.decode
-    return Polynomial(ring, tuple((decode(m), c) for m, c in terms))
+    return tuple((decode(m), c) for m, c in terms)
+
+
+def _monic(terms, p):
+    inv = pow(terms[0][1], -1, p)
+    return tuple((m, c * inv % p) for m, c in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -174,16 +179,24 @@ def _nf_dict(work, reducers, pk, p, budget):
     return rem
 
 
-def normal_form_poly(f, basis_polys, budget=None):
-    """Remainder of f modulo a list of monic polynomials (typically a reduced
-    Groebner basis)."""
+def term_remainders(fs, basis, p, order, n, budget=None):
+    """Yield the remainder of each term list in fs modulo the nonzero monic
+    term lists `basis`, as a term list largest first.  The basis is packed
+    once for all of fs; a caller that stops early divides no further f."""
     budget = Budget.ensure(budget)
-    ring = f.ring
-    basis = [g for g in basis_polys if g]
-    pk = _packing_for([f] + basis, ring)
+    pk = _packing_for(list(fs) + list(basis), order, n)
     reducers = _reducer_table([_pack(g, pk) for g in basis], pk)
-    rem = _nf_dict(dict(_pack(f, pk)), reducers, pk, ring.p, budget)
-    return _unpack(rem.items(), ring, pk)
+    for f in fs:
+        rem = _nf_dict(dict(_pack(f, pk)), reducers, pk, p, budget)
+        yield _unpack(rem.items(), pk)
+
+
+def normal_form_poly(f, basis_polys, budget=None):
+    """Remainder of f modulo monic polynomials, typically a reduced basis."""
+    ring = f.ring
+    (rem,) = term_remainders([f.terms], [g.terms for g in basis_polys if g],
+                             ring.p, ring.order, ring.nvars, budget)
+    return Polynomial(ring, rem)
 
 
 # ---------------------------------------------------------------------------
@@ -201,17 +214,15 @@ def _spoly_dict(ti, tj, lcm, pk, p):
     return {pk.check(m): c for m, c in d.items() if c}
 
 
-def buchberger(gens, ring, budget=None):
-    """Reduced Groebner basis of the ideal generated by `gens` under the
-    ring's order.  Deterministic; raises BudgetExceeded when the pair queue
-    outruns the step budget.  Under a module order (POT) only pairs with
-    leading terms in the same position are formed."""
+def term_basis(gens, p, order, n, budget=None):
+    """Reduced Groebner basis, as term lists ascending by leading monomial,
+    of the term lists `gens` over F_p ((exponent tuple of length n, c)
+    pairs, largest first under `order`).  Deterministic; raises
+    BudgetExceeded when the pair queue outruns the step budget.  Under POT
+    only pairs with leading terms in the same position are formed."""
     budget = Budget.ensure(budget)
-    p = ring.p
-    seed = {g.monic() for g in gens if g}
-    if not seed:
-        return ()
-    pk = _packing_for(seed, ring)
+    seed = {_monic(terms, p) for terms in gens if terms}
+    pk = _packing_for(seed, order, n)
     guard, slotmask = pk.guard, pk.slotmask
 
     G = []           # packed monic term tuples, largest term first
@@ -232,12 +243,9 @@ def buchberger(gens, ring, budget=None):
                                    pk.encode(lcm), i, j))
 
     def add(terms, sugar):
-        """Append monic packed terms, already largest first."""
-        lm, c = terms[0]
-        if c != 1:
-            inv = pow(c, -1, p)
-            terms = [(m, (v * inv) % p) for m, v in terms]
-        terms = tuple(terms)
+        """Append packed terms, largest first, made monic."""
+        terms = _monic(terms, p)
+        lm = terms[0][0]
         G.append(terms)
         lms.append(lm)
         lm_exps.append(pk.decode(lm))
@@ -245,10 +253,10 @@ def buchberger(gens, ring, budget=None):
         reducers.setdefault(lm & slotmask, []).append((lm, terms[1:]))
         push_pairs(len(G) - 1)
 
-    packed = [(_pack(g, pk), g) for g in seed]
-    packed.sort(key=lambda tg: (tg[0][0][0], tg[1].terms))
-    for terms, g in packed:
-        add(terms, g.degree())
+    # ties on the leading monomial keep (lm, terms) order; the sugar of a
+    # generator is its largest total degree
+    for terms in sorted(seed, key=lambda t: (pk.encode(t[0][0]), t)):
+        add(_pack(terms, pk), max(sum(m) for m, _ in terms))
 
     while pairs:
         sugar, lcm, i, j = heapq.heappop(pairs)
@@ -272,8 +280,13 @@ def buchberger(gens, ring, budget=None):
         if rem:
             add(list(rem.items()), sugar)
 
-    return tuple(_unpack(terms, ring, pk)
-                 for terms in _reduce_basis(G, pk, p, budget))
+    return [_unpack(terms, pk) for terms in _reduce_basis(G, pk, p, budget)]
+
+
+def buchberger(gens, ring, budget=None):
+    """Reduced Groebner basis of the ideal of `gens` (see term_basis)."""
+    return tuple(Polynomial(ring, g) for g in term_basis(
+        [g.terms for g in gens], ring.p, ring.order, ring.nvars, budget))
 
 
 def _reduce_basis(basis, pk, p, budget):

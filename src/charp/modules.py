@@ -1,13 +1,13 @@
 """Groebner bases for submodules of free modules.
 
 Vectors over S^r are tuples of polynomials.  A module term e_i*x^a is
-encoded as the exponent tuple (i, r - i) + a of a private ring whose order
-is the position-over-term order POT (lower position wins, then the ring's
-order), and module bases and normal forms are computed by the ideal engine
-in groebner.py.  The two position slots make plain componentwise
-divisibility, lcm and shifts correct for module terms: a term divides
-another only in the same position, and since r - i >= 1 the product
-criterion, which applies only to ideals, never fires.
+the exponent tuple (i, r - i) + a under the position-over-term order POT
+(lower position wins, then the ring's order), so a vector goes into the
+term-list engine of groebner.py as one term list.  The two position
+slots make plain componentwise divisibility, lcm and shifts correct for
+module terms: a term divides another only in the same position, and since
+r - i >= 1 the product criterion, which applies only to ideals, never
+fires.
 
 Every kernel is one module colon (Greuel & Pfister, A Singular
 Introduction to Commutative Algebra, 2.8): the w with sum w_k * maps[k]
@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from .budget import Budget
 # unused here: the benchmark's tracer tests read charp.modules.intersect
-from .groebner import Ideal, buchberger, intersect, normal_form_poly  # noqa
-from .ring import POT, Polynomial, Ring, minimal_monomials, mono_deg
+from .groebner import Ideal, intersect, term_basis, term_remainders  # noqa
+from .ring import POT, Polynomial, minimal_monomials, mono_deg
 
 
 # ---------------------------------------------------------------------------
@@ -68,46 +68,43 @@ def _kron(a, b, ring):
 # ---------------------------------------------------------------------------
 # module Groebner bases through the ideal engine
 
-def _module_ring(ring, rank):
-    """The free ring whose monomials are the module terms of S^rank: two
-    position slots ahead of the variables, ordered by POT."""
-    return Ring(ring.p, ring.fresh_names(2, "e") + ring.variables,
-                POT(rank, ring.order))
-
-
-def _encode(vec, mring):
-    """A vector over S as a polynomial of the module ring.  Rows in
+def _terms(vec, rank):
+    """The POT term list of a vector over S, largest first: rows in
     position order keep the terms in decreasing POT order."""
-    rank = mring.order.rank
-    return Polynomial(mring, tuple(((i, rank - i) + m, c)
-                                   for i, entry in enumerate(vec)
-                                   for m, c in entry.terms))
+    return tuple(((i, rank - i) + m, c)
+                 for i, entry in enumerate(vec) for m, c in entry.terms)
 
 
-def _decode(poly, ring):
-    rows = [[] for _ in range(poly.ring.order.rank)]
-    for m, c in poly.terms:
+def _vector(terms, rank, ring):
+    rows = [[] for _ in range(rank)]
+    for m, c in terms:
         rows[m[0]].append((m[2:], c))
     return tuple(Polynomial(ring, tuple(row)) for row in rows)
+
+
+def _remainders(vectors, gb, rank, ring, budget):
+    return term_remainders([_terms(v, rank) for v in vectors],
+                           [_terms(v, rank) for v in gb], ring.p,
+                           POT(rank, ring.order), ring.nvars + 2, budget)
 
 
 def module_groebner(vectors, rank, ring, budget=None):
     """Reduced module Groebner basis (position-over-term order) of the
     submodule of S^rank generated by `vectors`."""
-    mring = _module_ring(ring, rank)
-    gb = buchberger([_encode(v, mring) for v in vectors], mring, budget)
-    return tuple(_decode(g, ring) for g in gb)
+    gb = term_basis([_terms(v, rank) for v in vectors], ring.p,
+                    POT(rank, ring.order), ring.nvars + 2, budget)
+    return tuple(_vector(g, rank, ring) for g in gb)
 
 
 def module_normal_form(vec, gb, rank, ring, budget=None):
-    mring = _module_ring(ring, rank)
-    rem = normal_form_poly(_encode(vec, mring),
-                           [_encode(v, mring) for v in gb], budget)
-    return _decode(rem, ring)
+    (rem,) = _remainders([vec], gb, rank, ring, budget)
+    return _vector(rem, rank, ring)
 
 
-def in_module(vec, gb, rank, ring, budget=None):
-    return vec_is_zero(module_normal_form(vec, gb, rank, ring, budget))
+def in_module(vectors, gb, rank, ring, budget=None):
+    """Every vector lies in the span of the module basis gb.  Stops at the
+    first vector outside, as a loop over single vectors would."""
+    return not any(_remainders(vectors, gb, rank, ring, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -358,18 +355,14 @@ class FreeComplex:
 
 def _irredundant_columns(cols, rank, ring, budget):
     """Drop columns lying in the span of the others; deterministic order."""
-    mring = _module_ring(ring, rank)
-    key = mring.order.key
-
-    def canon(col):
-        return [(key(m), c) for m, c in _encode(col, mring).terms]
-
-    cols = sorted((c for c in cols if not vec_is_zero(c)), key=canon)
+    key = POT(rank, ring.order).key
+    cols = sorted((c for c in cols if not vec_is_zero(c)),
+                  key=lambda col: [(key(m), c) for m, c in _terms(col, rank)])
     i = len(cols) - 1
     while i >= 0 and len(cols) > 1:
         others = cols[:i] + cols[i + 1:]
         gb = module_groebner(others, rank, ring, budget)
-        if in_module(cols[i], gb, rank, ring, budget):
+        if in_module([cols[i]], gb, rank, ring, budget):
             cols = others
         i -= 1
     return cols

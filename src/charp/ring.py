@@ -476,12 +476,6 @@ class Polynomial:
                 base = base * base
         return result
 
-    def monic(self):
-        c = self.lc()
-        if c in (0, 1):
-            return self
-        return self * pow(c, -1, self.ring.p)
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.ring.const(other)

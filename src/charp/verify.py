@@ -724,12 +724,10 @@ def _res_exact(ctx):
             kernel = syzygy_module(lower, rank, ring, ctx.budget())
             span_up = module_groebner(upper, cx.rank(i), ring, ctx.budget())
             span_ker = module_groebner(kernel, cx.rank(i), ring, ctx.budget())
-            for k in kernel:
-                if not in_module(k, span_up, cx.rank(i), ring, ctx.budget()):
-                    return FAIL, f"kernel escapes image at step {i}"
-            for u in upper:
-                if not in_module(u, span_ker, cx.rank(i), ring, ctx.budget()):
-                    return FAIL, f"image escapes kernel at step {i}"
+            if not in_module(kernel, span_up, cx.rank(i), ring, ctx.budget()):
+                return FAIL, f"kernel escapes image at step {i}"
+            if not in_module(upper, span_ker, cx.rank(i), ring, ctx.budget()):
+                return FAIL, f"image escapes kernel at step {i}"
     return PASS, ""
 
 

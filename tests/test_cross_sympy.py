@@ -32,7 +32,8 @@ def from_sympy_basis(gb, ring, gens):
         d = {}
         for exps, c in p.terms():
             d[tuple(int(e) for e in exps)] = int(c) % ring.p
-        out.add(ring.from_dict(d).monic())
+        f = ring.from_dict(d)
+        out.add(f * pow(f.lc(), -1, ring.p))
     return out
 
 

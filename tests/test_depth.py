@@ -14,7 +14,8 @@ from charp import depth as depth_mod
 from charp.budget import Budget
 from charp.depth import (_normalized_vectors, _regular_by_hilbert,
                          _regular_at_origin, is_regular_element,
-                         linear_candidates, quadratic_candidates)
+                         koszul_homology, linear_candidates,
+                         quadratic_candidates)
 from charp.modules import _kron, diagonal_columns, kpolynomial, row_degrees
 from charp.ring import Block, GRevLex, Lex
 from charp.verify import (random_form, random_graded_cyclic_ideal,
@@ -65,6 +66,17 @@ class TestKoszulComplex:
         assert not koszul_homology_nonzero(xs, M, 1)
         assert not koszul_homology_nonzero(xs, M, 2)
         assert koszul_homology_nonzero(xs, M, 0)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_walk_with_no_top_cycles(self, rank):
+        # on a free module Z_2 = 0, so the walk never builds the top
+        # boundaries (the `depth --ring F_5[x,y] --ideal (0)` input)
+        ring = parse_ring("F_5[x,y]")
+        M = ModulePresentation.free(ring, rank)
+        xs = list(ring.gens())
+        assert list(koszul_homology(xs, M, 2)) == [(2, False), (1, False),
+                                                    (0, True)]
+        assert depth_at_origin(M) == 2
 
     def test_residue_field_all_nonzero(self, R2xy):
         M = ModulePresentation.cyclic(R2xy, [R2xy.poly("x"), R2xy.poly("y")])

@@ -6,6 +6,7 @@ power membership.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from charp import (Budget, FSequence, Ideal, fedder_f_pure, frobenius,
                    frobenius_closure, frobenius_power, frobenius_preimage,
                    fseq_radical_stabilize, fseq_verify, is_frobenius_closed,
                    parse_ring)
+from charp.modules import span_colon
 
 
 class TestFrobeniusPower:
@@ -237,3 +239,43 @@ def test_preimage_sandwich(J):
     pre = frobenius_preimage(J, 1)
     assert J.contains_ideal(frobenius_power(pre, 1))
     assert pre.contains_ideal(J)
+
+
+def _pushforward_preimage(J):
+    """{r : r^p in J} by a second route, the pushforward colon.  S is free
+    over S^p on the x^b, b in [0, p)^n, and x^b * g = sum_a c_a^p x^a for
+    each lifted generator g of J; so r^p lies in J exactly when r*e_0 lies
+    in the S-span of the columns (c_a)_a of S^(p^n), one per (g, b)."""
+    free = J.ring.free()
+    p = free.p
+    index = {a: k for k, a in
+             enumerate(itertools.product(range(p), repeat=free.nvars))}
+    cols = []
+    for g in J.lifted_gens():
+        for b in index:
+            parts = [{} for _ in index]
+            for m, c in g.terms:
+                m = [x + y for x, y in zip(m, b)]
+                parts[index[tuple(x % p for x in m)]][
+                    tuple(x // p for x in m)] = c   # c^p = c in F_p
+            cols.append(tuple(free.from_dict(d) for d in parts))
+    e0 = tuple(free.one() if k == 0 else free.zero() for k in index.values())
+    return span_colon([e0], cols, len(index), free)
+
+
+@pytest.mark.parametrize("ring_text", [
+    "F_2[x,y,z,w]", "F_3[x,y,z]", "F_5[x,y]",
+    "F_2[x,y,z]/(x*y + z^2)", "F_3[x,y]/(x^2 - y^3)", "F_5[x,y]/(x*y)"])
+def test_preimage_agrees_with_the_pushforward_colon(ring_text, dense_poly):
+    # p^n <= 27, so every colon has rank at most 27
+    ring = parse_ring(ring_text)
+    free = ring.free()
+    rng = random.Random(f"pushforward/{ring_text}")
+    for _ in range(3):
+        # u^p * v + w has a preimage beyond J itself when w is small
+        u, v, w = (dense_poly(free, rng, 1, 2) for _ in range(3))
+        gens = [u.frobenius(1) * v + w * rng.randrange(2),
+                dense_poly(free, rng, 2, rng.randrange(1, 3))]
+        J = Ideal(ring, gens)
+        assert frobenius_preimage(J, 1).equal(
+            Ideal(ring, _pushforward_preimage(J).gens)), gens

@@ -22,7 +22,8 @@ from charp import (Block, Budget, BudgetExceeded, ExponentOverflow, GRevLex,
                    parse_ring, radical_membership)
 from charp.cli import main
 from charp.groebner import _FIELD_MARGIN, _packing, normal_form_poly
-from charp.modules import module_colon, span_colon
+from charp.modules import (module_colon, module_groebner,
+                           module_normal_form, span_colon)
 from charp.ring import (EXPONENT_LIMIT, POT, mono_div, mono_divides,
                         mono_mul)
 from charp.verify import brute_force_member, random_poly
@@ -532,6 +533,31 @@ class TestPacking:
             buchberger(polys, ring)
         code = main(["gb", "--ring", "F_2[x,y]", "--order", "lex",
                      "--ideal", "(" + ", ".join(gens) + ")"])
+        out, err = capsys.readouterr()
+        assert code == 5 and out == "" and err.startswith("input error:")
+
+    def test_module_overflow_is_an_exponent_overflow(self, monkeypatch,
+                                                     capsys):
+        # the rank-2 counterpart: the S-vector of (y^3 + x) e_0 and
+        # x^3 e_0 + y e_1 holds x^4 e_0, and so does the remainder of
+        # x^3*y^3 e_0; the 2-bit fields sized for the exponent 3 and the
+        # position slot 2 hold neither
+        ring = parse_ring("F_2[x,y]")
+        zero = ring.zero()
+        vecs = [(ring.poly("y^3 + x"), zero),
+                (ring.poly("x^3"), ring.poly("y"))]
+        f = (ring.poly("x^3*y^3"), zero)
+        assert [[str(e) for e in v] for v in module_groebner(vecs, 2, ring)] \
+            == [["0", "y^4 + x*y"], ["y^3 + x", "0"], ["x^3", "y"]]
+        assert [str(e) for e in module_normal_form(f, vecs[:1], 2, ring)] \
+            == ["x^4", "0"]
+        monkeypatch.setattr(groebner, "_FIELD_MARGIN", 0)
+        with pytest.raises(ExponentOverflow):
+            module_groebner(vecs, 2, ring)
+        with pytest.raises(ExponentOverflow):
+            module_normal_form(f, vecs[:1], 2, ring)
+        code = main(["depth", "--ring", "F_2[x,y]",
+                     "--matrix", "[y^3 + x, x^3; 0, y]"])
         out, err = capsys.readouterr()
         assert code == 5 and out == "" and err.startswith("input error:")
 

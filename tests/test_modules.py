@@ -17,7 +17,7 @@ from charp import (Budget, BudgetExceeded, Ideal, ModulePresentation,
 from charp.depth import depth_at_origin, koszul_differential
 from charp.modules import (_kron, apply_columns, diagonal_columns,
                            hilbert_dimension, in_module, kpolynomial,
-                           module_colon, module_groebner,
+                           module_colon, module_groebner, module_normal_form,
                            monomial_kpolynomial, row_degrees, vec_is_zero,
                            _unit_entry)
 from charp.ring import mono_deg, mono_divides
@@ -95,8 +95,7 @@ class TestModuleEngine:
                 for s in syzygy_module(cols, rank, ring):
                     assert vec_is_zero(apply_columns(cols, s, ring, rank))
                 gb = module_groebner(cols, rank, ring)
-                for col in cols:
-                    assert in_module(col, gb, rank, ring)
+                assert in_module(cols, gb, rank, ring)
                 leads = [_leading_term(g) for g in gb]
                 for k, g in enumerate(gb):
                     pos, lm = leads[k]
@@ -144,9 +143,8 @@ class TestModuleColon:
             _colon_by_tagging_every_column(maps, cols, rank, ring), m, ring)
         # and each generator is in the colon by definition
         span = module_groebner(cols, rank, ring)
-        for w in colon:
-            assert in_module(apply_columns(maps, w, ring, rank), span, rank,
-                             ring)
+        assert in_module([apply_columns(maps, w, ring, rank) for w in colon],
+                         span, rank, ring)
         return colon
 
     def test_random_graded_modules(self):
@@ -216,6 +214,84 @@ class TestModuleColon:
             module_colon([(x,)], [(x, x)], 1, R2xy)
 
 
+def _one_by_one(vectors, gb, rank, ring):
+    """(every normal form vanishes, steps up to the first that does not,
+    steps of all of them): the per-vector loop that in_module replaces."""
+    budget, inside, upto = Budget(), True, None
+    for v in vectors:
+        zero = vec_is_zero(module_normal_form(v, gb, rank, ring, budget))
+        if inside and not zero:
+            inside, upto = False, budget.used
+    return inside, budget.used if upto is None else upto, budget.used
+
+
+class TestListMembership:
+    """in_module tests a list of vectors against one packed basis: the
+    answer and the steps charged are those of one normal form per vector,
+    up to the first vector outside."""
+
+    def _agree(self, inside, outside, gb, rank, ring):
+        """Check the inside list, then each outsider put second in it;
+        returns the number of lists that stopped with steps to spare."""
+        early, inside = 0, list(inside)
+        for vectors in [inside] + [inside[:1] + [v] + inside[1:]
+                                   for v in outside]:
+            budget = Budget()
+            got = in_module(vectors, gb, rank, ring, budget)
+            answer, upto, total = _one_by_one(vectors, gb, rank, ring)
+            assert (got, budget.used) == (answer, upto)
+            early += budget.used < total
+        assert in_module(inside, gb, rank, ring)
+        return early
+
+    def test_captured_bases(self):
+        early = 0
+        for case in json.loads(FIXTURE.read_text()):
+            ring, rank = parse_ring(case["ring"]), case["rank"]
+            cols = [tuple(ring.poly(e) for e in col)
+                    for col in case["columns"]]
+            gb = module_groebner(cols, rank, ring)
+            early += self._agree(cols, diagonal_columns(ring.one(), rank, ring),
+                                 gb, rank, ring)
+        assert early > 0
+
+    def test_colons(self):
+        # the images of colon generators lie in the span of the columns;
+        # the maps themselves mostly do not
+        rng = random.Random("list-membership")
+        rings = [parse_ring(t) for t in ("F_2[x,y,z]", "F_3[x,y]")]
+        early = 0
+        for i in range(8):
+            ring = rings[i % 2]
+            M = random_graded_module(ring, rng)
+            f = random_form(ring, rng, rng.randrange(1, 3))
+            maps = diagonal_columns(f, M.rank, ring)
+            colon, _ = module_colon(maps, M.columns, M.rank, ring)
+            images = [apply_columns(maps, w, ring, M.rank) for w in colon]
+            gb = module_groebner(M.columns, M.rank, ring)
+            early += self._agree(images, maps, gb, M.rank, ring)
+        assert early > 0
+
+    def test_resolutions(self, R2xyz):
+        # each kernel lies in the next image, and no unit vector does
+        for gens in (["x*y", "x*z", "y*z"], ["x^2", "x*y", "y^2*z"]):
+            M = ModulePresentation.cyclic(R2xyz, [R2xyz.poly(g) for g in gens])
+            cx, _ = free_resolution(M, cap=3)
+            for i in range(1, cx.length):
+                rank = cx.rank(i)
+                kernel = syzygy_module(cx.diffs[i - 1], cx.rank(i - 1), R2xyz)
+                image = module_groebner(cx.diffs[i], rank, R2xyz)
+                units = diagonal_columns(R2xyz.one(), rank, R2xyz)
+                assert self._agree(kernel, units, image, rank, R2xyz) > 0
+
+    def test_empty_list(self, R2xy):
+        x = R2xy.poly("x")
+        for gb in ((), module_groebner([(x, x)], 2, R2xy)):
+            budget = Budget()
+            assert in_module([], gb, 2, R2xy, budget)
+            assert budget.used == 0
+
+
 class TestFreeResolution:
     def test_two_planes_pd(self, R2xyz):
         M = ModulePresentation.cyclic(R2xyz, [R2xyz.poly("x*y"), R2xyz.poly("x*z")])
@@ -271,11 +347,9 @@ class TestFreeResolution:
                 rank = cx.rank(i)
                 kernel = syzygy_module(lower, cx.rank(i - 1), R2xyz)
                 span_up = module_groebner(upper, rank, R2xyz)
-                for k in kernel:
-                    assert in_module(k, span_up, rank, R2xyz)
+                assert in_module(kernel, span_up, rank, R2xyz)
                 span_ker = module_groebner(kernel, rank, R2xyz)
-                for u in upper:
-                    assert in_module(u, span_ker, rank, R2xyz)
+                assert in_module(upper, span_ker, rank, R2xyz)
 
 
 class TestAnnihilator:
@@ -446,4 +520,4 @@ def test_free_resolutions_are_exact(cols):
             assert all(vec_is_zero(k) for k in kernel)
             continue
         image = module_groebner(cx.diffs[i], cx.rank(i), HR2)
-        assert all(in_module(k, image, cx.rank(i), HR2) for k in kernel)
+        assert in_module(kernel, image, cx.rank(i), HR2)
