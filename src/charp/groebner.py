@@ -121,7 +121,7 @@ def _unpack(terms, pk):
 
 def _monic(terms, p):
     inv = pow(terms[0][1], -1, p)
-    return tuple((m, c * inv % p) for m, c in terms)
+    return tuple([(m, c * inv % p) for m, c in terms])
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +180,10 @@ def _nf_dict(work, reducers, pk, p, budget):
 
 
 def term_remainders(fs, basis, p, order, n, budget=None):
-    """Yield the remainder of each term list in fs modulo the nonzero monic
-    term lists `basis`, as a term list largest first.  The basis is packed
-    once for all of fs; a caller that stops early divides no further f."""
+    """Yield the remainder of each term list in the list fs modulo the
+    nonzero monic term lists `basis`, as a term list largest first.  The
+    basis is packed once for all of fs; a caller that stops early divides
+    no further f."""
     budget = Budget.ensure(budget)
     pk = _packing_for(list(fs) + list(basis), order, n)
     reducers = _reducer_table([_pack(g, pk) for g in basis], pk)
@@ -243,8 +244,7 @@ def term_basis(gens, p, order, n, budget=None):
                                    pk.encode(lcm), i, j))
 
     def add(terms, sugar):
-        """Append packed terms, largest first, made monic."""
-        terms = _monic(terms, p)
+        """Append monic packed terms, largest first."""
         lm = terms[0][0]
         G.append(terms)
         lms.append(lm)
@@ -278,7 +278,7 @@ def term_basis(gens, p, order, n, budget=None):
         sp = _spoly_dict(G[i], G[j], lcm, pk, p)
         rem = _nf_dict(sp, reducers, pk, p, budget)
         if rem:
-            add(list(rem.items()), sugar)
+            add(_monic(list(rem.items()), p), sugar)
 
     return [_unpack(terms, pk) for terms in _reduce_basis(G, pk, p, budget)]
 
@@ -294,7 +294,7 @@ def _reduce_basis(basis, pk, p, budget):
     reduced basis, as packed term tuples ascending by leading monomial.
 
     Only input generators can share a leading monomial (every later entry
-    is reduced by all before it), and buchberger adds them sorted by
+    is reduced by all before it), and term_basis adds them sorted by
     (lm, terms), so the stable sort by lm keeps their order."""
     guard = pk.guard
     minimal = []
