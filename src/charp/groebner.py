@@ -6,11 +6,27 @@ generators), so a single engine answers every query.  The engine,
 `term_basis` and `term_remainders`, takes and returns term lists of
 (exponent tuple, c) pairs, largest first, with p, the order and the tuple
 length: `buchberger` and `normal_form_poly` wrap it for polynomials and
-modules.py for vectors, as POT term lists.  Pair selection uses the sugar
-strategy with both classical pair-skipping criteria, and ties are broken
-by (sugar, lcm key, indices), so repeated runs produce bit-identical
-reduced bases.  Ideal quotients are one module colon (modules.span_colon),
-so _nf_dict is the only division loop.
+modules.py for vectors, as POT term lists.  Ideal quotients are one module
+colon (modules.span_colon), so _nf_dict is the only division loop.
+
+Signature Buchberger (Faugere, ISSAC 2002; Eder & Faugere, JSC 80, 2017).
+`term_basis` adds the generators one at a time, in (lm, terms) order, to
+the basis of the ones before.  An element's signature is the leading term
+t*e_i, under position over term, of its representation by the generators;
+it is one int, the index i above the packed monomial t, so comparing two
+signatures is one int comparison.  A pair's signature T is the larger of
+its two sides' (a tie cancels and the pair is dropped), and pairs are
+popped in increasing T.  T is skipped when a known syzygy lead of index i
+divides it (the syzygy criterion: each T that reduced to zero and, for
+ideals, the Koszul leads lm(g)*e_i of the earlier elements g; vectors have
+no Koszul syzygies) or when an element added after the pair's h has a
+signature dividing T (the rewrite criterion).  Otherwise u = (T / sig(h))*h
+is reduced top and tail by regular steps only: g reduces a term m of u
+when (m / lm(g)) * sig(g) < T, strictly, so u keeps signature T.  Such
+criteria skip most of the pairs that would reduce to zero.
+The basis is reduced once, at the end, so the answer is the unique reduced
+basis; the order of the generators, their scale and repeats do not change
+it, and repeated runs are bit-identical.
 
 Packed terms (Monagan & Pearce, CASC 2007).  Inside the engine a monomial
 is one Python int.  Its low bits hold the exponents E, one field of `bits`
@@ -64,7 +80,7 @@ class _Packing:
     """The packed-int encoding of one order on exponent tuples of length n
     with `bits`-bit exponent fields."""
 
-    __slots__ = ("cols", "shifts", "mask", "guard", "slotmask")
+    __slots__ = ("cols", "shifts", "mask", "guard", "slotmask", "top")
 
     def __init__(self, order, n, bits):
         width = bits + 1                      # the exponent and its guard bit
@@ -82,6 +98,7 @@ class _Packing:
         self.mask = (1 << bits) - 1
         self.guard = sum(1 << s + bits for s in self.shifts)
         self.slotmask = sum(self.mask << s for s in self.shifts[:order.slots])
+        self.top = top                        # packed monomials are below 2^top
 
     def encode(self, exps):
         return sum(map(mul, exps, self.cols))
@@ -130,18 +147,25 @@ def _monic(terms, p):
 def _reducer_table(basis, pk):
     """Group monic packed reducers (term tuples, largest first) by the
     position slots of their leading monomials (one group, keyed 0, for
-    ideals), each as (lm, tail terms)."""
+    ideals), each as (lm, signature, tail terms).  Outside term_basis the
+    signature is 0."""
     table = {}
     for terms in basis:
         lm = terms[0][0]
-        table.setdefault(lm & pk.slotmask, []).append((lm, terms[1:]))
+        table.setdefault(lm & pk.slotmask, []).append((lm, 0, terms[1:]))
     return table
 
 
-def _nf_dict(work, reducers, pk, p, budget):
+def _nf_dict(work, reducers, pk, p, budget, bound):
     """Full normal form of the packed term dict `work` against a
     _reducer_table.  Returns the remainder dict, its terms in descending
     order.
+
+    A term m is reduced by the first reducer b whose leading monomial
+    divides it with (m / lm(b)) * sig(b) < bound.  term_basis passes the
+    signature of `work`, so each step is a regular s-reduction; the other
+    callers pass 1 << pk.top, which every product of a packed monomial with
+    signature 0 stays below.
 
     Heap division: every pending monomial enters a heap once, negated so
     that the min-heap pops the largest, and keeps its entry while its
@@ -157,9 +181,9 @@ def _nf_dict(work, reducers, pk, p, budget):
         c = work.pop(m)
         if not c:
             continue
-        for blm, btail in reducers.get(m & slotmask, ()):
+        for blm, bsig, btail in reducers.get(m & slotmask, ()):
             shift = m - blm
-            if not shift & guard:
+            if not shift & guard and shift + bsig < bound:
                 break
         else:
             rem[m] = c
@@ -188,7 +212,8 @@ def term_remainders(fs, basis, p, order, n, budget=None):
     pk = _packing_for(list(fs) + list(basis), order, n)
     reducers = _reducer_table([_pack(g, pk) for g in basis], pk)
     for f in fs:
-        rem = _nf_dict(dict(_pack(f, pk)), reducers, pk, p, budget)
+        rem = _nf_dict(dict(_pack(f, pk)), reducers, pk, p, budget,
+                       1 << pk.top)
         yield _unpack(rem.items(), pk)
 
 
@@ -201,19 +226,7 @@ def normal_form_poly(f, basis_polys, budget=None):
 
 
 # ---------------------------------------------------------------------------
-# Buchberger
-
-def _spoly_dict(ti, tj, lcm, pk, p):
-    """S-polynomial of two monic packed basis entries with the packed lcm
-    of their leading monomials."""
-    d = {}
-    for terms, sign in ((ti, 1), (tj, -1)):
-        shift = lcm - terms[0][0]
-        for m, c in terms:
-            mm = m + shift
-            d[mm] = (d.get(mm, 0) + sign * c) % p
-    return {pk.check(m): c for m, c in d.items() if c}
-
+# signature Buchberger
 
 def term_basis(gens, p, order, n, budget=None):
     """Reduced Groebner basis, as term lists ascending by leading monomial,
@@ -224,61 +237,63 @@ def term_basis(gens, p, order, n, budget=None):
     budget = Budget.ensure(budget)
     seed = {_monic(terms, p) for terms in gens if terms}
     pk = _packing_for(seed, order, n)
-    guard, slotmask = pk.guard, pk.slotmask
+    guard, slotmask, top, cols = pk.guard, pk.slotmask, pk.top, pk.cols
 
     G = []           # packed monic term tuples, largest term first
     lms = []         # their leading monomials
     lm_exps = []     # the same as exponent tuples, for lcms
-    excess = []      # sugar minus the degree of the leading monomial
-    reducers = {}    # _reducer_table of G, grown as G grows
-    pairs = []       # heap of (sugar, packed lcm, i, j)
-    done = set()     # treated index pairs, for the chain criterion
+    sigs = []        # their signatures
+    reducers = {}    # a _reducer_table of G with its signatures
+    pairs = []       # heap of (signature T, h): T is a multiple of sigs[h]
 
-    def push_pairs(j):
-        lmj, expj, ej = lms[j], lm_exps[j], excess[j]
-        for i in range(j):
-            if (lms[i] ^ lmj) & slotmask:
-                continue
-            lcm = tuple(map(max, lm_exps[i], expj))
-            heapq.heappush(pairs, (sum(lcm) + max(excess[i], ej),
-                                   pk.encode(lcm), i, j))
-
-    def add(terms, sugar):
-        """Append monic packed terms, largest first."""
+    def add(terms, sig):
+        """Append monic packed terms of signature sig and queue its pairs.
+        A pair's signature is the larger of its two sides'; a pair whose
+        sides tie is singular and is dropped."""
         lm = terms[0][0]
+        exps = pk.decode(lm)
+        j = len(G)
+        for k, lmk in enumerate(lms):
+            if (lmk ^ lm) & slotmask:
+                continue
+            lcm = sum(map(mul, map(max, lm_exps[k], exps), cols))
+            mine, theirs = lcm - lm + sig, lcm - lmk + sigs[k]
+            if mine > theirs:
+                heapq.heappush(pairs, (pk.check(mine), j))
+            elif theirs > mine:
+                heapq.heappush(pairs, (pk.check(theirs), k))
         G.append(terms)
         lms.append(lm)
-        lm_exps.append(pk.decode(lm))
-        excess.append(sugar - sum(lm_exps[-1]))
-        reducers.setdefault(lm & slotmask, []).append((lm, terms[1:]))
-        push_pairs(len(G) - 1)
+        lm_exps.append(exps)
+        sigs.append(sig)
+        reducers.setdefault(lm & slotmask, []).append((lm, sig, terms[1:]))
 
-    # ties on the leading monomial keep (lm, terms) order; the sugar of a
-    # generator is its largest total degree
-    for terms in sorted(seed, key=lambda t: (pk.encode(t[0][0]), t)):
-        add(_pack(terms, pk), max(sum(m) for m, _ in terms))
-
-    while pairs:
-        sugar, lcm, i, j = heapq.heappop(pairs)
-        done.add((i, j))
-        if lcm == lms[i] + lms[j]:
-            continue  # product criterion: coprime leading monomials
-        skip = False
-        for k, lmk in enumerate(lms):
-            if (lcm - lmk) & guard or k == i or k == j:
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a in done and b in done:
-                skip = True
-                break
-        if skip:
-            continue
-        budget.charge()
-        sp = _spoly_dict(G[i], G[j], lcm, pk, p)
-        rem = _nf_dict(sp, reducers, pk, p, budget)
-        if rem:
-            add(_monic(list(rem.items()), p), sugar)
+    # ties on the leading monomial keep (lm, terms) order
+    ordered = sorted(seed, key=lambda t: (pk.encode(t[0][0]), t))
+    for index, terms in enumerate(ordered, 1):
+        sig = index << top
+        # leads of the known syzygies of index i: lm(g) e_i for every
+        # earlier g (Koszul; vectors have none), then each signature that
+        # reduces to zero
+        syz = [] if slotmask else [sig + lm for lm in lms]
+        rem = _nf_dict(dict(_pack(terms, pk)), reducers, pk, p, budget, sig)
+        if not rem:
+            continue     # in the span of the earlier generators
+        add(_monic(list(rem.items()), p), sig)
+        while pairs:
+            T, h = heapq.heappop(pairs)
+            if any(not (T - s) & guard for s in syz):
+                continue     # syzygy criterion
+            if any(not (T - sigs[k]) & guard for k in range(h + 1, len(G))):
+                continue     # rewrite criterion: a later element covers T
+            budget.charge()
+            shift = T - sigs[h]
+            rem = _nf_dict({pk.check(m + shift): c for m, c in G[h]},
+                           reducers, pk, p, budget, T)
+            if rem:
+                add(_monic(list(rem.items()), p), T)
+            else:
+                syz.append(T)
 
     return [_unpack(terms, pk) for terms in _reduce_basis(G, pk, p, budget)]
 
@@ -293,9 +308,8 @@ def _reduce_basis(basis, pk, p, budget):
     """Minimalize and tail-reduce monic packed term tuples into the unique
     reduced basis, as packed term tuples ascending by leading monomial.
 
-    Only input generators can share a leading monomial (every later entry
-    is reduced by all before it), and term_basis adds them sorted by
-    (lm, terms), so the stable sort by lm keeps their order."""
+    Of the entries that share a leading monomial the stable sort keeps the
+    first; all of them tail-reduce to the same reduced element."""
     guard = pk.guard
     minimal = []
     for terms in sorted(basis, key=lambda t: t[0][0]):
@@ -308,10 +322,12 @@ def _reduce_basis(basis, pk, p, budget):
     reducers = _reducer_table(minimal, pk)
     reduced = []
     for terms in minimal:
-        rem = _nf_dict(dict(terms[1:]), reducers, pk, p, budget)
+        rem = _nf_dict(dict(terms[1:]), reducers, pk, p, budget, 1 << pk.top)
         reduced.append(terms[:1] + tuple(rem.items()))
     reduced.sort()
     return reduced
+
+
 # ---------------------------------------------------------------------------
 # ideals
 

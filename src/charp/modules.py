@@ -5,9 +5,9 @@ the exponent tuple (i, r - i) + a under the position-over-term order POT
 (lower position wins, then the ring's order), so a vector goes into the
 term-list engine of groebner.py as one term list.  The two position
 slots make plain componentwise divisibility, lcm and shifts correct for
-module terms: a term divides another only in the same position, and since
-r - i >= 1 the product criterion, which applies only to ideals, never
-fires.
+module terms: a term divides another only in the same position.  Vectors
+have no Koszul syzygies, so the engine's syzygy criterion uses only the
+signatures that reduced to zero.
 
 Every kernel is one module colon (Greuel & Pfister, A Singular
 Introduction to Commutative Algebra, 2.8): the w with sum w_k * maps[k]

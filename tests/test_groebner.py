@@ -161,16 +161,16 @@ class TestColon:
 
 
     @pytest.mark.parametrize("ring_text, ideal, by, steps, basis", [
-        ("F_2[x,y,z]", "(x*y, y*z, x^3)", "x", 5, "(y, x^2)"),
-        ("F_3[x,y,z]/(x^3 - y*z^3)", "(x*z, y)", "x + y", 11, "(z, y, x^2)"),
-        ("F_5[x,y]", "(x^3*y + y^2 + x, x*y^3 + x^2 + y)", "x*y", 19,
+        ("F_2[x,y,z]", "(x*y, y*z, x^3)", "x", 8, "(y, x^2)"),
+        ("F_3[x,y,z]/(x^3 - y*z^3)", "(x*z, y)", "x + y", 12, "(z, y, x^2)"),
+        ("F_5[x,y]", "(x^3*y + y^2 + x, x*y^3 + x^2 + y)", "x*y", 20,
          "(y^4 + 4*x^2*y + x*y + 4, x*y^3 + x^2 + y, x^3*y + y^2 + x,"
          " x^4 + 4*x*y^2 + x*y + 4)"),
     ])
     def test_single_generator_keeps_basis_and_steps(self, ring_text, ideal,
                                                     by, steps, basis):
         # one vector stacks to itself: the colon is the rank-1 module
-        # colon, step for step (the figures of the earlier per-vector route)
+        # colon, step for step
         ring = parse_ring(ring_text)
         free = ring.free()
         I = Ideal.parse(ring, ideal)
@@ -577,8 +577,8 @@ class TestPacking:
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("name, steps", [("cyclic-5", 1563),
-                                         ("katsura-5", 4025)])
+@pytest.mark.parametrize("name, steps", [("cyclic-5", 338),
+                                         ("katsura-5", 569)])
 def test_classical_basis_and_step_count(name, steps):
     # the inputs and the sympy reference bases of the benchmark, read only
     ref = json.loads((ROOT / "perfbench" / "reference" / "classical.json")
@@ -595,14 +595,14 @@ def test_classical_basis_and_step_count(name, steps):
 
 def test_generators_sharing_a_leading_monomial_keep_their_step_count():
     # the inputs are taken in (lm, terms) order with terms compared as
-    # exponent tuples; another tie order reaches the same basis in 11 steps
+    # exponent tuples; another tie order reaches the same basis in 6 steps
     ring = parse_ring("F_3[x,y,z]")
     gens = [ring.poly(g) for g in ("x^2 + 2*y^2 + x + 2*y",
                                    "x^2 + y*z + 2*z^2 + 2*y",
                                    "2*x^2 + x + 2*z")]
     budget = Budget()
     buchberger(gens, ring, budget)
-    assert budget.used == 15
+    assert budget.used == 9
 
 
 @pytest.mark.parametrize("order", [GRevLex(), Lex(), Block(1)],
@@ -621,3 +621,52 @@ def test_bracket_power_basis_is_the_power_of_the_basis(order, dense_poly):
         gb_q = buchberger([g.frobenius(40) for g in gens], ring, big)
         assert [g.terms for g in gb_q] == [g.frobenius(40).terms for g in gb]
         assert big.used == small.used
+
+
+@pytest.mark.parametrize("ring_text, order, rank", [
+    ("F_3[x,y,z]", None, 1),
+    ("F_2[x,y,z]/(x*y + z^2, y^3)", None, 1),
+    ("F_5[x,y,z]", Block(1), 1),
+    ("F_3[x,y,z]", None, 2),
+    ("F_2[x,y,z]", Lex(), 2),
+])
+def test_reduced_basis_ignores_how_the_generators_are_given(ring_text, order,
+                                                            rank, dense_poly):
+    # permuted, rescaled, duplicated or zero generators span the same
+    # ideal or module, so the reduced basis cannot move; nor can a last
+    # generator that lies in the span of the others, whose whole signature
+    # index is a syzygy.  Quotient generators are generators of the lift.
+    ring = parse_ring(ring_text)
+    free = ring.free() if order is None else ring.free().with_order(order)
+    rng = random.Random(f"generator-order/{ring_text}/{rank}")
+    zero = (free.zero(),) * rank
+
+    def basis(vectors):
+        if rank == 1:
+            return [g.terms for g in buchberger([v[0] for v in vectors], free)]
+        return [tuple(e.terms for e in v)
+                for v in module_groebner(vectors, rank, free)]
+
+    def lead(v):     # POT: the lowest nonzero position, then its lm
+        i = next(i for i, e in enumerate(v) if e)
+        return -i, free.order.key(v[i].lm())
+
+    for _ in range(3):
+        gens = [tuple(dense_poly(free, rng, 2, rng.randrange(2, 5))
+                      for _ in range(rank))
+                for _ in range(3 - len(ring.quotient))]
+        gens += [(g.transported(free),) for g in ring.quotient]
+        want = basis(gens)
+        assert want and free.one().terms not in want     # a proper ideal
+        permuted = rng.sample(gens, len(gens))
+        units = [rng.randrange(1, ring.p) for _ in range(len(gens) + 1)]
+        rescaled = [tuple(e * c for e in v) for v, c in zip(gens, units)]
+        duplicated = gens + rng.sample(gens, 2)
+        zeros = gens[:1] + [zero] + gens[1:] + [zero]
+        top, other = max(gens, key=lead), rng.choice(gens)
+        x = free.var(free.variables[0])
+        inside = tuple(x * a + b * units[-1] for a, b in zip(top, other))
+        assert lead(inside) > lead(top)    # so it is taken last
+        for variant in (permuted, rescaled, duplicated, zeros,
+                        gens + [inside], [inside] + gens):
+            assert basis(variant) == want
