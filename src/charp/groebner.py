@@ -98,7 +98,7 @@ class _Packing:
         self.mask = (1 << bits) - 1
         self.guard = sum(1 << s + bits for s in self.shifts)
         self.slotmask = sum(self.mask << s for s in self.shifts[:order.slots])
-        self.top = top                        # packed monomials are below 2^top
+        self.top = top                 # packed monomials are below 2^top
 
     def encode(self, exps):
         return sum(map(mul, exps, self.cols))

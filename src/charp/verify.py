@@ -129,13 +129,13 @@ def resolution_kpolynomial(cx, degrees):
 
 
 def random_poly(ring, rng, max_deg=3, max_terms=4):
-    d = {}
-    for _ in range(rng.randrange(1, max_terms + 1)):
-        exps = tuple(rng.randrange(max_deg + 1) for _ in range(ring.nvars))
-        if mono_deg(exps) > max_deg:
-            continue
-        d[exps] = rng.randrange(ring.p)
-    return ring.from_dict(d)
+    """1 to max_terms distinct monomials of total degree <= max_deg, each
+    with a nonzero coefficient."""
+    monos = [e for e in itertools.product(range(max_deg + 1), repeat=ring.nvars)
+             if sum(e) <= max_deg]
+    count = min(rng.randrange(1, max_terms + 1), len(monos))
+    return ring.from_dict({m: rng.randrange(1, ring.p)
+                           for m in rng.sample(monos, count)})
 
 
 # ---------------------------------------------------------------------------

@@ -80,8 +80,8 @@ def cusp3():
 @pytest.fixture
 def dense_poly():
     """make(ring, rng, deg, terms): `terms` distinct monomials of degree
-    <= deg with nonzero coefficients, for tests that need many-term
-    polynomials (verify.random_poly mostly draws zero or a monomial)."""
+    <= deg with nonzero coefficients, for tests that need an exact number
+    of terms (verify.random_poly draws between 1 and max_terms)."""
     def make(ring, rng, deg, terms):
         monos = [e for e in itertools.product(range(deg + 1), repeat=ring.nvars)
                  if sum(e) <= deg]

@@ -50,7 +50,9 @@ def compare(ring, gens_text, order_name):
     mine = set(groebner_basis(I, order))
     theirs = sympy.groebner([to_sympy(g, sym_gens) for g in I.gens],
                             *sym_gens, modulus=ring.p, order=order_name)
-    assert mine == from_sympy_basis(theirs, ring.free(), sym_gens), \
+    # sympy's elements are made monic under the order they were computed in
+    free = ring.free() if order is None else ring.free().with_order(order)
+    assert mine == from_sympy_basis(theirs, free, sym_gens), \
         f"{gens_text} over {ring!r} ({order_name})"
 
 
