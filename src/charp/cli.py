@@ -287,7 +287,7 @@ def _cmd_cdepth_lb(ns, ring, budget):
     M = _module_arg(ns, ring)
     rep = cdepth_lower_bound(M, ns.emax, seed=ns.seed, budget=budget)
     lines = [f"lower bound: {rep.bound} "
-             f"({'exhaustive' if rep.exhaustive else 'budget'})",
+             f"({'exhaustive' if rep.exhaustive else 'not sharp'})",
              "witness: (" + ", ".join(str(w) for w in rep.witness) + ")"]
     return ({"bound": rep.bound, "witness": [str(w) for w in rep.witness],
              "exhaustive": rep.exhaustive, "seed": rep.seed}, lines, [])

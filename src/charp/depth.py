@@ -6,15 +6,17 @@ concrete left-module avatar under which left multiplication by the ring is
 ordinary multiplication.  Depth at the origin is the Koszul grade of the
 variables, read off one walk down the Koszul complex from H_n:
 
-    H_i(x; M) != 0  <=>  some cycle of the i-th differential (tensored
-                         with the presentation) escapes the boundaries,
-                         the span of the (i+1)-st image and the relations.
+    H_i(x; M) != 0  <=>  the cycles Z_i of d_i (tensored with the
+                         presentation) and the boundaries B_i, the span of
+                         d_{i+1} and the relations, differ in reduced basis.
 
-The cycles are one module colon of d_i into the relation block (one POT
-basis in which only the columns of d_i carry tags); its heads are the
-boundaries one degree down, so everything reduces to the module engine.
-In the graded free-ring case the answer is cross-checked against the
-projective dimension through the depth + pd = n identity.
+B_i lies in Z_i and a reduced basis is unique (Greuel & Pfister, 2.3), so
+no division is needed.  The cycles are one module colon of d_i into the
+relation block (one POT basis in which only the columns of d_i carry
+tags); its heads are the boundaries one degree down, so everything
+reduces to the module engine.  In the graded free-ring case the answer
+is cross-checked against the projective dimension through the
+depth + pd = n identity.
 
 The greedy regular-sequence search is the third route.  On a graded
 module a form f of degree d is regular exactly when M != 0 and the
@@ -23,10 +25,11 @@ level's K once and multiplies it by (1 - t^d) after each witness, so a
 test costs the one module basis of M/fM and no syzygies.  The same K
 gives dim M.  The search stops once some level N modulo the witness has
 dimension 0 (tested first in a round) or depth 0, H_n(x; N) = (0 :_N m)
-!= 0 (tested when the linear pool fails); either stop makes the bound
+!= 0 (tested when the linear pool fails); only these stops make the bound
 sharp.  Witnesses are certified only by the Hilbert or the local route.
 Ungraded inputs and non-homogeneous f take the local route, which
-answers at the origin like the Koszul route: (0 :_M f) must vanish in M_m.
+answers at the origin by the same rule: (0 :_M f) = Z/U vanishes in M_m
+exactly when m*Z + U and Z have the same reduced basis (Nakayama).
 """
 
 from __future__ import annotations
@@ -40,9 +43,8 @@ from .budget import Budget, InternalInvariantError
 from .frobenius import fedder_f_pure
 from .modules import (FreeComplex, ModulePresentation, _kron,
                       diagonal_columns, free_resolution, hilbert_dimension,
-                      in_module, k_times_one_minus, kpolynomial, module_colon,
-                      module_colon_by_element, module_groebner, row_degrees,
-                      span_colon)
+                      k_times_one_minus, kpolynomial, module_colon,
+                      module_colon_by_element, module_groebner, row_degrees)
 from .ring import Polynomial
 
 
@@ -92,7 +94,9 @@ def koszul_homology(xs, M, top, budget=None):
     """Yield (i, H_i(x; M) != 0) for i = top, ..., 0.  For i > 0 one POT
     basis gives the cycles Z_i, the colon of d_i into the relations, and
     as its heads the next degree's boundaries image(d_i) + relations; so
-    only the start degree builds its boundaries, and only if Z_top != 0."""
+    only the start degree builds its boundaries, and only if Z_top != 0.
+    B_i lies in Z_i (d.d = 0, and d keeps the relation blocks), so H_i != 0
+    exactly when their reduced bases differ."""
     budget = Budget.ensure(budget)
     free = M.ring.free()
     xs = [x.transported(free) for x in xs]
@@ -116,8 +120,7 @@ def koszul_homology(xs, M, top, budget=None):
         if cycles and boundaries is None:
             boundaries = module_groebner(differential(i + 1) + relations(i),
                                          rank, free, budget)
-        yield i, bool(cycles) and not in_module(cycles, boundaries, rank,
-                                                free, budget)
+        yield i, set(cycles) != set(boundaries or ())
         boundaries = below
 
 
@@ -168,11 +171,10 @@ def depth_at_origin(M, cross_check=True, budget=None):
     if (cross_check and not M.ring.is_quotient
             and row_degrees(M.lifted_columns(), M.rank) is not None):
         _, pd = free_resolution(M, cap=n, budget=budget)
-        if pd is None:
-            pd = n  # Hilbert's bound: the cap-n resolution always closes
-        if depth != n - pd:
+        # by Hilbert's syzygy theorem the cap-n resolution always closes
+        if pd is None or depth != n - pd:
             raise InternalInvariantError(
-                f"Koszul depth {depth} disagrees with n - pd = {n - pd}")
+                f"Koszul depth {depth} disagrees with pd = {pd} (n = {n})")
     return depth
 
 
@@ -201,24 +203,25 @@ def _regular_by_hilbert(f, cols, rank, ring, degrees, k, budget):
             == k_times_one_minus(k, f.degree()))
 
 
-def _unit_at_origin(f):
-    """f(0) != 0: f is a unit of the local ring at the origin."""
-    return f.evaluate((0,) * f.ring.nvars) != 0
+def _zero_at_origin(basis, cols, rank, ring, budget):
+    """N = <basis>/U vanishes at the origin, for the reduced basis of a
+    submodule containing the column span U.  By Nakayama N_m = 0 exactly
+    when N = mN, that is when m*basis + U has the same reduced basis."""
+    products = [tuple(x * e for e in w) for x in ring.gens() for w in basis]
+    return set(module_groebner(products + list(cols), rank, ring,
+                               budget)) == set(basis)
 
 
 def _regular_at_origin(f, cols, rank, ring, budget):
     """The local route, for f in m: f is regular on M_m exactly when
-    M_m != 0 (then M_m != f*M_m by Nakayama) and every w with f*w in the
-    column span is zero in M_m.  Vectors are zero in M_m exactly when
-    their annihilator modulo the columns has a generator outside m."""
-    def zero_at_origin(vectors):
-        colon = span_colon(vectors, cols, rank, ring, budget)
-        return any(_unit_at_origin(g) for g in colon.gens)
-
-    # the unit-vector colon last: most candidates fail the first test
-    return (all(zero_at_origin([w]) for w in
-                module_colon_by_element(cols, rank, f, ring, budget))
-            and not zero_at_origin(diagonal_columns(ring.one(), rank, ring)))
+    M_m != 0 (then M_m != f*M_m by Nakayama) and (0 :_M f) = Z/U vanishes
+    at the origin, Z the colon of f into the column span U.  M_m != 0 is
+    the same test on the unit vectors, H_0(x; M) = M/mM != 0."""
+    colon = module_colon_by_element(cols, rank, f, ring, budget)
+    units = diagonal_columns(ring.one(), rank, ring)
+    # the unit vectors last: most candidates fail the first test
+    return (_zero_at_origin(colon, cols, rank, ring, budget)
+            and not _zero_at_origin(units, cols, rank, ring, budget))
 
 
 def is_regular_element(f, cols, rank, ring, budget=None, graded=None):
@@ -228,7 +231,7 @@ def is_regular_element(f, cols, rank, ring, budget=None, graded=None):
     the origin is ever regular.  `graded` is M's (row degrees,
     K-polynomial) when a caller already holds them."""
     budget = Budget.ensure(budget)
-    if not f or _unit_at_origin(f):
+    if not f or f.evaluate((0,) * ring.nvars):   # f(0) != 0: a unit
         return False
     if f.is_homogeneous:
         graded = graded or _hilbert_data(cols, rank, ring, budget)
@@ -327,11 +330,11 @@ def quadratic_candidates(ring, seed=0):
 @dataclass
 class DepthSearchReport:
     """Greedy regular-sequence search outcome: a certified lower bound with
-    its witness sequence.  exhaustive means the bound is sharp: either every
-    candidate pool was fully enumerated (sharp for sequences drawn from the
-    pools), or the search stopped because some level N of M modulo the
-    witness has dimension 0 or depth 0 (H_n(x; N) != 0), where no form is
-    regular and the bound is sharp outright."""
+    its witness sequence.  exhaustive means the bound is sharp: the search
+    stopped because some level N of M modulo the witness has dimension 0
+    or depth 0 (H_n(x; N) != 0), where no form is regular.  Pools that run
+    out without such a stop leave every level of depth >= 1, where prime
+    avoidance gives a regular form of higher degree: never sharp."""
 
     bound: int
     witness: tuple
@@ -374,7 +377,6 @@ def _greedy_search(M, e_max, seed, budget):
         raise ValueError(_VANISHES)
     pools = []   # each built once per search, when a round first needs it
     witness = []
-    exhaustive = True
     while True:
         if _dimension_zero(graded, free.nvars):
             return DepthSearchReport(len(witness), tuple(witness), True, seed)
@@ -384,16 +386,14 @@ def _greedy_search(M, e_max, seed, budget):
                     free.nvars, budget) for cols in levels):
                 return DepthSearchReport(len(witness), tuple(witness), True, seed)
             if k == len(pools):
-                pools.append(build(free, seed))
-            forms, full = pools[k]
-            exhaustive = exhaustive and full
-            found = next((f for f in forms if all(
+                pools.append(build(free, seed)[0])
+            found = next((f for f in pools[k] if all(
                 is_regular_element(f, cols, rank, free, budget, graded=level)
                 for cols, level in zip(levels, graded))), None)
             if found is not None:
                 break
-        if found is None:
-            return DepthSearchReport(len(witness), tuple(witness), exhaustive, seed)
+        if found is None:   # not sharp: see DepthSearchReport
+            return DepthSearchReport(len(witness), tuple(witness), False, seed)
         witness.append(found)
         levels = [cols + diagonal_columns(found, rank, free)
                   for cols in levels]

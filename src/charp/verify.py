@@ -539,7 +539,7 @@ def _oracle_triangle(ctx):
         d_koszul = depth_at_origin(M, cross_check=False, budget=ctx.budget())
         _, pd = free_resolution(M, cap=n, budget=ctx.budget())
         if pd is None:
-            pd = n
+            return FAIL, f"#{i} {I!r}: no resolution within {n} steps"
         greedy = classical_depth_search(M, budget=ctx.budget())
         if d_koszul != n - pd:
             return FAIL, f"#{i} {I!r}: koszul {d_koszul} vs n-pd {n - pd}"
@@ -763,7 +763,7 @@ def _ab_identity(ctx):
         d = depth_at_origin(M, cross_check=False, budget=ctx.budget())
         _, pd = free_resolution(M, cap=3, budget=ctx.budget())
         if pd is None:
-            pd = 3
+            return FAIL, f"{I!r}: no resolution within 3 steps"
         if d + pd != 3:
             return FAIL, f"{I!r}: depth {d} pd {pd}"
     return PASS, ""

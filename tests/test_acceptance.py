@@ -202,8 +202,7 @@ def test_criterion_8_oracle_triangle():
         n = ring.nvars
         d_koszul = depth_at_origin(M, cross_check=False)
         _, pd = free_resolution(M, cap=n)
-        if pd is None:
-            pd = n
+        assert pd is not None, f"{I!r}: no resolution within {n} steps"
         greedy = classical_depth_search(M)
         assert d_koszul == n - pd, f"{I!r}: {d_koszul} vs n-pd {n - pd}"
         assert greedy.bound <= d_koszul, f"{I!r}: greedy overshot"

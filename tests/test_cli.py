@@ -135,7 +135,7 @@ PINNED = [
       "--emax", "2"),
      {"stable": True, "stable_kgrade": 1,
       "profiles": [{"e": e, "kgrade": 1, "nonzero_homology": [0, 1, 2]}
-                   for e in range(3)]}, 199),
+                   for e in range(3)]}, 190),
     (("cdepth-lb", "--ring", "F_2[x,y,z,w]", "--ideal", "(x*y, z*w)",
       "--emax", "2"),
      {"bound": 2, "exhaustive": True, "seed": 0, "witness": ["z + w", "x + y"]},
@@ -396,6 +396,29 @@ def test_depth_zero_stop_makes_a_sampled_pool_bound_sharp(capsys):
     assert data["budget_used"] == 583
 
 
+def test_pools_that_run_out_give_a_bound_that_is_not_sharp(capsys):
+    # every linear and quadratic form over F_2 shares a factor with the
+    # generator, so no stop fires; depth is 1 (x^3 + x^2*y + y^3 is regular)
+    base = ("cdepth-lb", "--ring", "F_2[x,y]", "--ideal",
+            "(x*y*(x+y)*(x^2+x*y+y^2))", "--emax", "0")
+    code, out, _ = run(capsys, *base, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["result"] == {"bound": 0, "exhaustive": False, "seed": 0,
+                              "witness": []}
+    assert data["budget_used"] == 35
+    code, out, _ = run(capsys, *base)
+    assert code == 0 and "lower bound: 0 (not sharp)" in out
+
+
+def test_unclosed_cross_check_resolution_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(depth_mod, "free_resolution",
+                        lambda M, cap, budget: (None, None))
+    code, _, err = run(capsys, "depth", "--ring", "F_2[x,y,z]", "--ideal",
+                       "(x*y, x*z)")
+    assert code == 4 and "internal invariant violation" in err
+
+
 def test_point_takes_signed_integers(capsys):
     code, out, _ = run(capsys, "ass", "--ring", "F_3[x,y]", "--ideal",
                        "(x*y, x^2)", "--point=-3, 0", "--json")
@@ -475,6 +498,28 @@ class TestVerifySuites:
                            "--json")
         assert code == 0
         assert json.loads(out)["suite"] == "examples"
+
+    @pytest.mark.parametrize("argv", [
+        ("oracles", "--seed", "7", "--count", "20"),
+        ("invariants-random", "--count", "50"),
+    ], ids=["oracles", "invariants-random"])
+    def test_suite_passes_and_writes_its_json(self, capsys, tmp_path, argv):
+        path = tmp_path / "report.json"
+        code, out, _ = run(capsys, "verify", *argv, "--json", "--out",
+                           str(path))
+        assert code == 0
+        assert json.loads(out)["summary"]["fail"] == 0
+        assert path.read_text() == out
+
+    @pytest.mark.parametrize("check_id", ["oracle/depth-triangle",
+                                          "modgb/depth-plus-pd"])
+    def test_unclosed_resolution_is_a_fail(self, monkeypatch, check_id):
+        # graded free-ring resolutions close within n steps (Hilbert)
+        monkeypatch.setattr(verify, "free_resolution",
+                            lambda M, cap, budget: (None, None))
+        (chk,) = [c for c in verify.CHECKS if c.check_id == check_id]
+        status, detail = chk.fn(verify.Context(seed=7, count=5))
+        assert status == verify.FAIL and "no resolution" in detail
 
     def test_invariant_violation_is_a_fail_line(self, capsys, monkeypatch):
         def broken(ctx):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from math import comb
 
 import pytest
 
@@ -11,20 +12,68 @@ from charp import (Ideal, ModulePresentation, cdepth_lower_bound,
                    koszul_homology_nonzero, parse_ring,
                    regular_sequence_check, sdepth)
 from charp import depth as depth_mod
-from charp.budget import Budget
+from charp.budget import Budget, InternalInvariantError
 from charp.depth import (_normalized_vectors, _regular_by_hilbert,
                          _regular_at_origin, is_regular_element,
-                         koszul_homology, linear_candidates,
-                         quadratic_candidates)
-from charp.modules import _kron, diagonal_columns, kpolynomial, row_degrees
+                         koszul_differential, koszul_homology,
+                         linear_candidates, quadratic_candidates)
+from charp.modules import (_kron, diagonal_columns, in_module, kpolynomial,
+                           module_colon, module_colon_by_element,
+                           module_groebner, row_degrees, span_colon)
 from charp.ring import Block, GRevLex, Lex
 from charp.verify import (random_form, random_graded_cyclic_ideal,
-                          random_graded_module)
+                          random_graded_module, random_poly)
 
 
 @pytest.fixture
 def two_planes(R2xyz):
     return ModulePresentation.cyclic(R2xyz, [R2xyz.poly("x*y"), R2xyz.poly("x*z")])
+
+
+def division_profile(xs, M):
+    """The Koszul profile by division: H_i != 0 exactly when some cycle
+    leaves the boundaries, each degree built from scratch.  Asserts that
+    each degree's boundaries lie in its cycles."""
+    free = M.ring.free()
+    xs = [x.transported(free) for x in xs]
+    n, r = len(xs), M.rank
+    eye, rel = diagonal_columns(1, r, free), M.lifted_columns()
+    nonzero = set()
+    for i in range(n + 1):
+        rank = comb(n, i) * r
+        cycles = diagonal_columns(free.one(), r, free)
+        if i:
+            cycles = module_colon(
+                _kron(koszul_differential(xs, i, free), eye, free),
+                _kron(diagonal_columns(1, comb(n, i - 1), free), rel, free),
+                comb(n, i - 1) * r, free)[0]
+        boundaries = module_groebner(
+            _kron(koszul_differential(xs, i + 1, free), eye, free)
+            + _kron(diagonal_columns(1, comb(n, i), free), rel, free),
+            rank, free)
+        assert in_module(boundaries, cycles, rank, free), (M, i)
+        if cycles and not in_module(cycles, boundaries, rank, free):
+            nonzero.add(i)
+    return frozenset(nonzero)
+
+
+def in_m(ring, rng, max_deg=2):
+    """A seeded random polynomial without constant term."""
+    g = random_poly(ring, rng, max_deg=max_deg, max_terms=3)
+    return g - g.evaluate((0,) * ring.nvars)
+
+
+def annihilator_route(f, cols, rank, ring):
+    """f regular on M_m by annihilators: M_m != 0 and every generator w of
+    (0 :_M f) has an annihilator modulo the columns with a unit at the
+    origin (M_m = 0 is the same test on the unit vectors)."""
+    def zero_at_origin(vectors):
+        colon = span_colon(vectors, cols, rank, ring)
+        return any(g.evaluate((0,) * ring.nvars) for g in colon.gens)
+
+    return (all(zero_at_origin([w]) for w in
+                module_colon_by_element(cols, rank, f, ring))
+            and not zero_at_origin(diagonal_columns(ring.one(), rank, ring)))
 
 
 class TestKoszulComplex:
@@ -48,6 +97,24 @@ class TestKoszulComplex:
             single = {i for i in range(len(seq) + 1)
                       if koszul_homology_nonzero(seq, M, i)}
             assert kgrade(seq, M).nonzero_homology == single, M
+
+    def test_walk_equals_the_division_route(self, koszul_levels):
+        # the walk compares reduced bases; the division route asks whether
+        # a cycle leaves the boundaries, over free and quotient rings, at
+        # e <= 2 and for bracket-power sequences
+        R = parse_ring("F_2[x,y]")
+        bracket = [([x.frobenius(e) for x in R.gens()],
+                    frobenius_functor(ModulePresentation.cyclic(R, gens), e))
+                   for gens in ([R.poly("x^2"), R.poly("x*y")],
+                                [R.poly("x*y")], [R.poly("y^2")])
+                   for e in (1, 2)]
+        cases = [(list(M.ring.free().gens()), M) for M in koszul_levels]
+        profiles = set()
+        for seq, M in cases + bracket:
+            walk = kgrade(seq, M).nonzero_homology
+            assert walk == division_profile(seq, M), M
+            profiles.add(walk)
+        assert len(profiles) >= 3
 
     def test_kron_blocks(self, R2xy):
         # A (x) I_2 and I_2 (x) R, columns (j, l) and rows (i, k) in order
@@ -120,6 +187,16 @@ class TestDepth:
         with pytest.raises(ValueError):
             depth_at_origin(M)
 
+    def test_unclosed_cross_check_resolution_is_an_engine_fault(
+            self, two_planes, monkeypatch):
+        # over a graded free ring Hilbert's syzygy theorem closes the
+        # minimal resolution within n steps, so None is an engine fault
+        monkeypatch.setattr(depth_mod, "free_resolution",
+                            lambda M, cap, budget: (None, None))
+        with pytest.raises(InternalInvariantError, match="pd = None"):
+            depth_at_origin(two_planes)
+        assert depth_at_origin(two_planes, cross_check=False) == 1
+
     def test_quotient_ring_module(self):
         # R = F_2[x,y]/(x*y) is one-dimensional Cohen-Macaulay: depth 1
         Q = parse_ring("F_2[x,y]/(x*y)")
@@ -149,6 +226,19 @@ class TestClassicalSearch:
         rep = classical_depth_search(M)
         assert rep.bound == 1
         assert rep.witness[0].degree() == 2
+
+    def test_pools_that_run_out_leave_the_bound_unsharp(self, R2xy):
+        # every linear and quadratic form over F_2 shares a factor with the
+        # generator, so both pools run out before either stop fires; but
+        # the cubic x^3 + x^2*y + y^3 is regular at every level: depth 1
+        M = ModulePresentation.cyclic(
+            R2xy, [R2xy.poly("x*y*(x + y)*(x^2 + x*y + y^2)")])
+        cubic = R2xy.poly("x^3 + x^2*y + y^3")
+        assert depth_at_origin(M) == 1
+        assert regular_sequence_check([cubic], M, range(2)) == [True, True]
+        for rep in (classical_depth_search(M), cdepth_lower_bound(M, 0),
+                    cdepth_lower_bound(M, 1)):
+            assert (rep.bound, rep.witness, rep.exhaustive) == (0, (), False)
 
     def test_pools_are_built_once_per_search(self, R2xy, R2xyz,
                                              monkeypatch):
@@ -285,6 +375,44 @@ class TestRegularElementRoutes:
         assert (rep.bound, rep.exhaustive) == (1, True)
         assert [str(w) for w in rep.witness] == ["z"]
         assert depth_at_origin(M) == 1
+
+    @staticmethod
+    def _ungraded_cases(depth_repro):
+        rng = random.Random("local-route")
+        R = parse_ring("F_2[x,y,z]")
+        J = list(Ideal.parse(R, depth_repro).gens)
+        cases = [(R, 1, [(g,) for g in J + [R.poly(extra)]])
+                 for extra in ("0", "z", "x + z", "y*z + x", "z^2 + z")]
+        for ring_text, count in (("F_2[x,y,z]", 2), ("F_3[x,y]", 1)):
+            ring = parse_ring(ring_text)
+            for _ in range(3):
+                cases.append((ring, 2, [(in_m(ring, rng), in_m(ring, rng))
+                                        for _ in range(count)]))
+        for text in ("F_2[x,y,z]/(x*y, y*z)", "F_3[x,y]/(x^2 - y^3)"):
+            Q = parse_ring(text)
+            for _ in range(2):
+                g = random_poly(Q.free(), rng, max_deg=3, max_terms=3)
+                M = ModulePresentation.cyclic(Q, [g])
+                cases.append((Q.free(), 1, M.lifted_columns()))
+        assert all(row_degrees(cols, rank) is None
+                   for _, rank, cols in cases[:5])
+        return rng, cases
+
+    def test_local_route_equals_the_annihilator_route(self, depth_repro):
+        # every linear form and some non-homogeneous f in m, on depth_repro
+        # and its quotients, seeded rank-2 matrices and quotient rings
+        rng, cases = self._ungraded_cases(depth_repro)
+        answers = []
+        for ring, rank, cols in cases:
+            forms = list(linear_candidates(ring)[0])
+            forms += [in_m(ring, rng, max_deg=3) for _ in range(3)]
+            forms += [f + f * f for f in forms[:2]]
+            for f in filter(None, forms):
+                want = annihilator_route(f, cols, rank, ring)
+                got = _regular_at_origin(f, cols, rank, ring, Budget())
+                assert got == want, (cols, f)
+                answers.append(want)
+        assert answers.count(True) >= 10 and answers.count(False) >= 10
 
     def test_module_vanishing_at_the_origin_has_no_regular_element(self,
                                                                   R2xy):
