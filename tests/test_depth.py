@@ -85,25 +85,11 @@ class TestKoszulComplex:
 
     def test_walk_agrees_with_each_group_alone(self, koszul_levels):
         # the walk takes each degree's boundaries from the colon above it;
-        # koszul_homology_nonzero(xs, M, i) builds those of degree i itself
+        # koszul_homology_nonzero(xs, M, i) builds those of degree i itself;
+        # both compare reduced bases, and the division route must agree
         R = parse_ring("F_2[x,y]")
         xs = list(R.gens())
-        bracket = [(list(x.frobenius(1) for x in xs),
-                    frobenius_functor(ModulePresentation.cyclic(R, gens), 1))
-                   for gens in ([R.poly("x^2"), R.poly("x*y")],
-                                [R.poly("x*y")], [R.poly("y^2")])]
-        cases = [(list(M.ring.free().gens()), M) for M in koszul_levels]
-        for seq, M in cases + bracket:
-            single = {i for i in range(len(seq) + 1)
-                      if koszul_homology_nonzero(seq, M, i)}
-            assert kgrade(seq, M).nonzero_homology == single, M
-
-    def test_walk_equals_the_division_route(self, koszul_levels):
-        # the walk compares reduced bases; the division route asks whether
-        # a cycle leaves the boundaries, over free and quotient rings, at
-        # e <= 2 and for bracket-power sequences
-        R = parse_ring("F_2[x,y]")
-        bracket = [([x.frobenius(e) for x in R.gens()],
+        bracket = [(list(x.frobenius(e) for x in xs),
                     frobenius_functor(ModulePresentation.cyclic(R, gens), e))
                    for gens in ([R.poly("x^2"), R.poly("x*y")],
                                 [R.poly("x*y")], [R.poly("y^2")])
@@ -111,8 +97,10 @@ class TestKoszulComplex:
         cases = [(list(M.ring.free().gens()), M) for M in koszul_levels]
         profiles = set()
         for seq, M in cases + bracket:
+            single = {i for i in range(len(seq) + 1)
+                      if koszul_homology_nonzero(seq, M, i)}
             walk = kgrade(seq, M).nonzero_homology
-            assert walk == division_profile(seq, M), M
+            assert walk == single == division_profile(seq, M), M
             profiles.add(walk)
         assert len(profiles) >= 3
 
