@@ -41,7 +41,7 @@ from math import comb
 
 from .budget import Budget, InternalInvariantError
 from .frobenius import fedder_f_pure
-from .modules import (FreeComplex, ModulePresentation, _kron,
+from .modules import (FreeComplex, ModulePresentation, _kron, _prune_units,
                       diagonal_columns, free_resolution, hilbert_dimension,
                       k_times_one_minus, kpolynomial, module_colon,
                       module_colon_by_element, module_groebner, row_degrees)
@@ -257,11 +257,16 @@ def regular_sequence_check(xs, M, e_range, budget=None):
     free = M.ring.free()
     xs = [x.transported(free) for x in xs]
     rank = M.rank
+    origin = (0,) * free.nvars
     results = []
     for e in e_range:
         cols = frobenius_functor(M, e).lifted_columns()
         graded = None
-        ok = True
+        # the empty sequence is regular on M_m exactly when H_0(x; M) =
+        # M/mM != 0: the columns' values at the origin do not span F_p^rank
+        ok = bool(xs) or len(_prune_units(
+            [tuple(free.const(x.evaluate(origin)) for x in col)
+             for col in cols], free)[1]) < rank
         for f in xs:
             if graded is None and f.is_homogeneous and not f.is_constant:
                 graded = _hilbert_data(cols, rank, free, budget)

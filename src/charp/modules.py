@@ -353,21 +353,6 @@ class FreeComplex:
         return True
 
 
-def _irredundant_columns(cols, rank, ring, budget):
-    """Drop columns lying in the span of the others; deterministic order."""
-    key = POT(rank, ring.order).key
-    cols = sorted((c for c in cols if not vec_is_zero(c)),
-                  key=lambda col: [(key(m), c) for m, c in _terms(col, rank)])
-    i = len(cols) - 1
-    while i >= 0 and len(cols) > 1:
-        others = cols[:i] + cols[i + 1:]
-        gb = module_groebner(others, rank, ring, budget)
-        if in_module([cols[i]], gb, rank, ring, budget):
-            cols = others
-        i -= 1
-    return cols
-
-
 def _unit_entry(col):
     for i, e in enumerate(col):
         if e and e.is_constant:
@@ -379,9 +364,13 @@ def _prune_units(cols, ring):
     """Split trivial summands off a matrix: while some column has a unit
     entry in row a, clear row a from the other columns with it, then delete
     that column and row a.  Spans and exactness are preserved.  Returns the
-    nonzero columns left and the number of rows deleted."""
+    nonzero columns left and the deleted rows by original index, in order.
+    On a syzygy basis of D, deleted row a names a column of D that the
+    unit puts in the span of the others; the columns left generate the
+    syzygies of D without the deleted columns."""
     cols = [list(c) for c in cols]
-    deleted = 0
+    rows = list(range(len(cols[0]))) if cols else []
+    deleted = []
     while True:
         hit = None
         for b, col in enumerate(cols):
@@ -401,36 +390,35 @@ def _prune_units(cols, ring):
         cols.pop(b)
         for col in cols:
             col.pop(a)
-        deleted += 1
+        deleted.append(rows.pop(a))
     return [tuple(c) for c in cols if not vec_is_zero(c)], deleted
 
 
 def free_resolution(pres, cap=8, budget=None):
-    """Iterated irredundant syzygies, with unit entries pruned from the
-    presentation only: a syzygy s of an irredundant matrix has no unit
-    entry s_a, which would put column a in the span of the others.  Returns
-    (FreeComplex, pd), pd None when cap steps did not close it.  Requires
-    a free ring, though only the depth oracle needs grading."""
+    """Iterated syzygies, one basis per step, with _prune_units on the
+    presentation and on each syzygy basis, so no differential has a unit
+    entry.  On graded input that is the minimal resolution (graded
+    Nakayama, Bruns & Herzog 1.5); on other input a free resolution whose
+    length bounds pd.  Returns (FreeComplex, pd), pd None when cap steps
+    did not close it.  Requires a free ring."""
     budget = Budget.ensure(budget)
     ring = pres.ring
     if ring.is_quotient:
         raise ValueError("free resolutions are computed over the free ring")
     cols, deleted = _prune_units(pres.columns, ring)
-    rank = pres.rank - deleted
-    cols = _irredundant_columns(cols, rank, ring, budget)
+    rank = pres.rank - len(deleted)
     if not cols:
         return FreeComplex(ring, rank, []), 0
     diffs = [cols]
-    pd = None
     for step in range(1, cap + 1):
         cur = diffs[-1]
-        syz = syzygy_module(cur, len(cur[0]), ring, budget)
-        syz = _irredundant_columns(syz, len(cur), ring, budget)
+        syz, deleted = _prune_units(
+            syzygy_module(cur, len(cur[0]), ring, budget), ring)
+        diffs[-1] = [c for j, c in enumerate(cur) if j not in deleted]
         if not syz:
-            pd = step
-            break
+            return FreeComplex(ring, rank, diffs), step
         diffs.append(syz)
-    return FreeComplex(ring, rank, diffs), pd
+    return FreeComplex(ring, rank, diffs), None
 
 
 def projective_dimension(pres, cap=8, budget=None):

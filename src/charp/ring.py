@@ -182,7 +182,10 @@ def order_from_name(name):
     if name == "grevlex":
         return GRevLex()
     if name.startswith("block:"):
-        return Block(int(name.split(":", 1)[1]))
+        k = int(name.split(":", 1)[1])
+        if k < 0:
+            raise ValueError(f"block size must be >= 0, got {k}")
+        return Block(k)
     raise ValueError(f"unknown monomial order {name!r}")
 
 

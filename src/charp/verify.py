@@ -176,29 +176,32 @@ class _Echelon:
         return lm is None
 
 
-def brute_force_member(f, gens, max_cofactor_deg):
-    """Is f an F_p-linear combination of {monomial * generator} with
-    cofactor degree bounded by max_cofactor_deg?  Pure linear algebra, no
-    Groebner machinery."""
+def brute_force_members(f, gens, caps):
+    """For each cap of the increasing `caps`: is f an F_p-linear combination
+    of {monomial * generator} with cofactor degree at most cap?  Pure linear
+    algebra, no Groebner machinery; the one echelon grows cap by cap."""
     ring = f.ring
     ech = _Echelon(ring)
-    n = ring.nvars
-    monos = [m for m in itertools.product(range(max_cofactor_deg + 1), repeat=n)
-             if mono_deg(m) <= max_cofactor_deg]
-    for g in gens:
-        for m in monos:
-            ech.insert(ring.monomial(m) * g)
-    return ech.contains(f)
+    low = -1
+    for cap in caps:
+        for g in gens:
+            for m in itertools.product(range(cap + 1), repeat=ring.nvars):
+                if low < mono_deg(m) <= cap:
+                    ech.insert(ring.monomial(m) * g)
+        low = cap
+        yield ech.contains(f)
+
+
+def brute_force_member(f, gens, max_cofactor_deg):
+    return next(brute_force_members(f, gens, (max_cofactor_deg,)))
 
 
 def membership_agrees(f, ideal, budget=None, caps=(6, 9, 12)):
     """Compare engine membership with the brute-force oracle; returns
     (agree, engine_answer)."""
     engine = ideal.contains(f, budget)
-    for cap in caps:
-        brute = brute_force_member(f, list(ideal.lifted_gens()), cap)
-        if brute:
-            return engine, engine  # brute certifies membership
+    if any(brute_force_members(f, list(ideal.lifted_gens()), caps)):
+        return engine, engine  # brute certifies membership
     return (not engine), engine    # brute never found cofactors
 
 

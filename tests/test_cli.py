@@ -243,6 +243,12 @@ class TestExitCodes:
                            "--roots", "(x)", "--lift-cap", "-1")
         assert code == 2 and "--lift-cap: must be >= 0" in err
 
+    def test_negative_block_size_is_a_parse_error(self, capsys):
+        code, out, err = run(capsys, "gb", "--ring", "F_2[x,y]", "--ideal",
+                             "(x, y)", "--order", "block:-1")
+        assert code == 2 and out == ""
+        assert "block size must be >= 0" in err
+
     def test_prime_check_needs_a_level(self, capsys):
         for levels in ("0", "-1"):
             code, out, err = run(capsys, "prime-check", "--ring", "F_2[x,y]",

@@ -697,6 +697,12 @@ class TestRegularSequences:
     def test_empty_sequence_vacuous(self, two_planes):
         assert regular_sequence_check([], two_planes, range(2)) == [True, True]
 
+    def test_empty_sequence_needs_a_module_nonzero_at_the_origin(self, R2xy):
+        # S/(1) = 0 and S/(x + 1), which vanishes at the origin only
+        for gens in ("1", "x + 1"):
+            M = ModulePresentation.cyclic(R2xy, [R2xy.poly(gens)])
+            assert regular_sequence_check([], M, range(2)) == [False, False]
+
     def test_purity_monotone(self, R2xy):
         # regular at level e+1 implies regular at level e (pure submodule)
         M = ModulePresentation.cyclic(R2xy, [R2xy.poly("x^2")])

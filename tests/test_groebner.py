@@ -26,7 +26,7 @@ from charp.modules import (module_colon, module_groebner,
                            module_normal_form, span_colon)
 from charp.ring import (EXPONENT_LIMIT, POT, mono_div, mono_divides,
                         mono_mul)
-from charp.verify import brute_force_member, random_poly
+from charp.verify import brute_force_member, brute_force_members, random_poly
 
 ORDERS = [Lex(), GRevLex(), Block(1), Block(2), Block(5), POT(2, GRevLex()),
           POT(3, Lex())]
@@ -323,6 +323,15 @@ class TestMembershipOracle:
                 assert engine, f"brute found cofactors, engine said no: {f}"
             else:
                 assert not engine, f"engine claims membership unseen by brute: {f}"
+
+    def test_nested_caps_match_single_caps(self, R2xyz):
+        # x^8 needs the cofactor x^7, y^11 the cofactor y^10
+        x, y, _ = R2xyz.gens()
+        caps = (6, 9, 12)
+        for f, gens, want in ((x ** 8, [x], [False, True, True]),
+                              (x ** 8 + y ** 11, [x, y], [False, False, True])):
+            assert [brute_force_member(f, gens, cap) for cap in caps] == want
+            assert list(brute_force_members(f, gens, caps)) == want
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 from charp import (Budget, BudgetExceeded, Ideal, ModulePresentation,
                    annihilator, free_resolution, is_graded, parse_ring,
                    syzygy_module)
+from charp import modules as modules_mod
 from charp.depth import depth_at_origin, koszul_differential
 from charp.modules import (_kron, apply_columns, diagonal_columns,
                            hilbert_dimension, in_module, kpolynomial,
                            module_colon, module_groebner, module_normal_form,
                            monomial_kpolynomial, row_degrees, vec_is_zero,
-                           _unit_entry)
+                           _prune_units, _unit_entry)
 from charp.ring import mono_deg, mono_divides
 from charp.verify import (random_form, random_graded_module,
                           resolution_kpolynomial)
@@ -330,6 +331,44 @@ class TestFreeResolution:
         assert [[str(e) for e in col] for col in cx.diffs[1]] == \
             [["x^2 + y^2", "x*y + z"]]
         assert depth_at_origin(M) == 1
+
+    def test_redundant_column_without_a_unit_relation(self, R2xyz):
+        # x*y and x*y + x*z are multiples of x; the syzygy basis cancels
+        # original rows 1 and then 2, so D_1 keeps only x
+        M = ModulePresentation.cyclic(
+            R2xyz, [R2xyz.poly(g) for g in ("x", "x*y", "x*y + x*z")])
+        syz = syzygy_module(M.columns, 1, R2xyz)
+        assert _prune_units(syz, R2xyz) == ([], [1, 2])
+        cx, pd = free_resolution(M)
+        assert pd == 1
+        assert cx.diffs == [((R2xyz.poly("x"),),)]
+
+    def test_graded_differentials_have_no_unit_entries(self):
+        # d(F_i) in m*F_(i-1): by graded Nakayama the resolution is minimal
+        rng = random.Random("minimal-resolution")
+        rings = [parse_ring(t) for t in ("F_2[x,y,z]", "F_3[x,y,z]",
+                                         "F_5[x,y]")]
+        for i in range(30):
+            ring = rings[i % len(rings)]
+            M = random_graded_module(ring, rng)
+            cx, pd = free_resolution(M, cap=ring.nvars)
+            assert pd is not None
+            origin = (0,) * ring.nvars
+            assert not any(e.evaluate(origin) for d in cx.diffs
+                           for col in d for e in col), M
+
+    def test_one_basis_per_step(self, monkeypatch):
+        calls = []
+        original = modules_mod.module_groebner
+        monkeypatch.setattr(modules_mod, "module_groebner",
+                            lambda *a: calls.append(a) or original(*a))
+        rng = random.Random("one-basis-per-step")
+        ring = parse_ring("F_2[x,y,z]")
+        for _ in range(10):
+            calls.clear()
+            M = random_graded_module(ring, rng)
+            _, pd = free_resolution(M, cap=3)
+            assert len(calls) == pd, M
 
     def test_exactness_on_monomial_samples(self, R2xyz):
         rng = random.Random("exact")
