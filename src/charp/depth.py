@@ -203,25 +203,27 @@ def _regular_by_hilbert(f, cols, rank, ring, degrees, k, budget):
             == k_times_one_minus(k, f.degree()))
 
 
-def _zero_at_origin(basis, cols, rank, ring, budget):
-    """N = <basis>/U vanishes at the origin, for the reduced basis of a
-    submodule containing the column span U.  By Nakayama N_m = 0 exactly
-    when N = mN, that is when m*basis + U has the same reduced basis."""
-    products = [tuple(x * e for e in w) for x in ring.gens() for w in basis]
-    return set(module_groebner(products + list(cols), rank, ring,
-                               budget)) == set(basis)
+def _nonzero_at_origin(cols, rank, ring):
+    """M = coker(cols) has M_m != 0, that is H_0(x; M) = M/mM != 0
+    (Nakayama): the columns' values at the origin do not span F_p^rank.
+    Linear algebra over F_p, with no module basis and no budget step."""
+    origin = (0,) * ring.nvars
+    return len(_prune_units([tuple(ring.const(e.evaluate(origin)) for e in c)
+                             for c in cols], ring)[1]) < rank
 
 
 def _regular_at_origin(f, cols, rank, ring, budget):
     """The local route, for f in m: f is regular on M_m exactly when
     M_m != 0 (then M_m != f*M_m by Nakayama) and (0 :_M f) = Z/U vanishes
-    at the origin, Z the colon of f into the column span U.  M_m != 0 is
-    the same test on the unit vectors, H_0(x; M) = M/mM != 0."""
+    at the origin, Z the reduced basis of the colon of f into the column
+    span U.  By Nakayama Z/U vanishes there exactly when Z/U = m(Z/U),
+    that is when m*Z + U has the reduced basis Z."""
+    if not _nonzero_at_origin(cols, rank, ring):
+        return False
     colon = module_colon_by_element(cols, rank, f, ring, budget)
-    units = diagonal_columns(ring.one(), rank, ring)
-    # the unit vectors last: most candidates fail the first test
-    return (_zero_at_origin(colon, cols, rank, ring, budget)
-            and not _zero_at_origin(units, cols, rank, ring, budget))
+    products = [tuple(x * e for e in w) for x in ring.gens() for w in colon]
+    return set(module_groebner(products + list(cols), rank, ring,
+                               budget)) == set(colon)
 
 
 def is_regular_element(f, cols, rank, ring, budget=None, graded=None):
@@ -257,16 +259,12 @@ def regular_sequence_check(xs, M, e_range, budget=None):
     free = M.ring.free()
     xs = [x.transported(free) for x in xs]
     rank = M.rank
-    origin = (0,) * free.nvars
     results = []
     for e in e_range:
         cols = frobenius_functor(M, e).lifted_columns()
         graded = None
-        # the empty sequence is regular on M_m exactly when H_0(x; M) =
-        # M/mM != 0: the columns' values at the origin do not span F_p^rank
-        ok = bool(xs) or len(_prune_units(
-            [tuple(free.const(x.evaluate(origin)) for x in col)
-             for col in cols], free)[1]) < rank
+        # the empty sequence is regular on M_m exactly when M_m != 0
+        ok = bool(xs) or _nonzero_at_origin(cols, rank, free)
         for f in xs:
             if graded is None and f.is_homogeneous and not f.is_constant:
                 graded = _hilbert_data(cols, rank, free, budget)
@@ -378,7 +376,7 @@ def _greedy_search(M, e_max, seed, budget):
     # graded M = 0 shows as dimension -1 in the dim stop; otherwise M_m = 0
     # exactly when H_0(x; M) = M/mM = 0 (Nakayama)
     graded = [_hilbert_data(cols, rank, free, budget) for cols in levels]
-    if not (graded[0] or koszul_homology_nonzero(free.gens(), M, 0, budget)):
+    if not (graded[0] or _nonzero_at_origin(levels[0], rank, free)):
         raise ValueError(_VANISHES)
     pools = []   # each built once per search, when a round first needs it
     witness = []

@@ -422,6 +422,8 @@ def free_resolution(pres, cap=8, budget=None):
 
 
 def projective_dimension(pres, cap=8, budget=None):
+    """The length of `free_resolution(pres)`: pd on graded input, an upper
+    bound for pd otherwise; None when cap steps did not close it."""
     _, pd = free_resolution(pres, cap, budget)
     return pd
 

@@ -703,6 +703,28 @@ class TestRegularSequences:
             M = ModulePresentation.cyclic(R2xy, [R2xy.poly(gens)])
             assert regular_sequence_check([], M, range(2)) == [False, False]
 
+    def test_nonzero_at_origin_is_koszul_h0(self):
+        # the one M_m != 0 test (the values at the origin do not span
+        # F_p^rank) agrees with H_0(x; M) = M/mM != 0 from the Koszul walk,
+        # on matrices whose entries often carry a constant term
+        rng = random.Random("nonzero-at-origin")
+        answers = []
+        for ring_text in ("F_2[x,y,z]", "F_3[x,y]", "F_2[x,y,z]/(x*y, y*z)"):
+            ring = parse_ring(ring_text)
+            free = ring.free()
+            for _ in range(12):
+                rank = rng.randrange(1, 4)
+                cols = [tuple(random_poly(free, rng, max_deg=2)
+                              if rng.random() < 0.6 else free.zero()
+                              for _ in range(rank))
+                        for _ in range(rng.randrange(1, rank + 2))]
+                M = ModulePresentation(ring, rank, cols)
+                got = depth_mod._nonzero_at_origin(M.lifted_columns(), rank,
+                                                   free)
+                assert got == koszul_homology_nonzero(free.gens(), M, 0), M
+                answers.append(got)
+        assert True in answers and False in answers
+
     def test_purity_monotone(self, R2xy):
         # regular at level e+1 implies regular at level e (pure submodule)
         M = ModulePresentation.cyclic(R2xy, [R2xy.poly("x^2")])
