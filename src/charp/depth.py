@@ -30,6 +30,10 @@ sharp.  Witnesses are certified only by the Hilbert or the local route.
 Ungraded inputs and non-homogeneous f take the local route, which
 answers at the origin by the same rule: (0 :_M f) = Z/U vanishes in M_m
 exactly when m*Z + U and Z have the same reduced basis (Nakayama).
+
+Every depth entry point first asks `_check_input` for M_m != 0, with no
+budget step; F^e and quotients by regular elements keep it, so no walk,
+search or Fedder test meets a module vanishing at the origin.
 """
 
 from __future__ import annotations
@@ -156,18 +160,25 @@ def kgrade(xs, M, budget=None):
 # ---------------------------------------------------------------------------
 # depth at the origin
 
-_VANISHES = "module vanishes at the origin; depth undefined"
+def _check_input(M, e_max=0):
+    """Reject e_max < 0 (no levels) and M_m = 0 (no depth at m)."""
+    if e_max < 0:
+        raise ValueError("e_max must be >= 0")
+    if not _nonzero_at_origin(M.lifted_columns(), M.rank, M.ring.free()):
+        raise ValueError("module vanishes at the origin; depth undefined")
 
 
 def depth_at_origin(M, cross_check=True, budget=None):
     """Koszul depth of the variables on M; in the graded free-ring case the
     value is cross-checked against n - pd(M)."""
+    _check_input(M)
     budget = Budget.ensure(budget)
     n = M.ring.nvars
     depth = next((n - i for i, h in koszul_homology(
         M.ring.free().gens(), M, n, budget) if h), None)
-    if depth is None:
-        raise ValueError(_VANISHES)
+    if depth is None:   # H_0 = M/mM != 0 by the check
+        raise InternalInvariantError(
+            "H_0 vanished on a module nonzero at the origin")
     if (cross_check and not M.ring.is_quotient
             and row_degrees(M.lifted_columns(), M.rank) is not None):
         _, pd = free_resolution(M, cap=n, budget=budget)
@@ -257,14 +268,15 @@ def regular_sequence_check(xs, M, e_range, budget=None):
     perfect-closure base change."""
     budget = Budget.ensure(budget)
     free = M.ring.free()
-    xs = [x.transported(free) for x in xs]
     rank = M.rank
+    if not _nonzero_at_origin(M.lifted_columns(), rank, free):
+        return [False for _ in e_range]   # not even the empty sequence
+    xs = [x.transported(free) for x in xs]
     results = []
     for e in e_range:
         cols = frobenius_functor(M, e).lifted_columns()
         graded = None
-        # the empty sequence is regular on M_m exactly when M_m != 0
-        ok = bool(xs) or _nonzero_at_origin(cols, rank, free)
+        ok = True
         for f in xs:
             if graded is None and f.is_homogeneous and not f.is_constant:
                 graded = _hilbert_data(cols, rank, free, budget)
@@ -346,16 +358,11 @@ class DepthSearchReport:
 
 
 def _dimension_zero(graded, n):
-    """Some level, given by its _hilbert_data, has Krull dimension <= 0
-    (read off its Hilbert series), so no form is regular on it.  A level
-    of dimension -1 is the zero module, which has no depth."""
-    for level in filter(None, graded):
-        dim = hilbert_dimension(level[1], n)
-        if dim < 0:
-            raise ValueError(_VANISHES)
-        if dim == 0:
-            return True
-    return False
+    """Some level, given by its _hilbert_data, has Krull dimension 0 (read
+    off its Hilbert series; never -1 after `_check_input`): no form is
+    regular on it."""
+    return any(hilbert_dimension(level[1], n) <= 0
+               for level in filter(None, graded))
 
 
 def _greedy_search(M, e_max, seed, budget):
@@ -365,19 +372,13 @@ def _greedy_search(M, e_max, seed, budget):
     the dim stop, and a round whose linear pool fails asks for depth 0
     before the quadratic pool: once some level has dimension 0 or depth 0,
     no round can extend the witness."""
-    if e_max < 0:
-        # with no levels every form would pass, and the search never ends
-        raise ValueError("e_max must be >= 0")
+    _check_input(M, e_max)
     budget = Budget.ensure(budget)
     free = M.ring.free()
     rank = M.rank
     levels = [frobenius_functor(M, e).lifted_columns()
               for e in range(e_max + 1)]
-    # graded M = 0 shows as dimension -1 in the dim stop; otherwise M_m = 0
-    # exactly when H_0(x; M) = M/mM = 0 (Nakayama)
     graded = [_hilbert_data(cols, rank, free, budget) for cols in levels]
-    if not (graded[0] or _nonzero_at_origin(levels[0], rank, free)):
-        raise ValueError(_VANISHES)
     pools = []   # each built once per search, when a round first needs it
     witness = []
     while True:
@@ -441,6 +442,7 @@ def sdepth(M, e_max=4, window=WINDOW, cross_check=True, budget=None):
     """Stabilizing depth of M: the eventual constant value of depth under
     the Frobenius functor.  Over an F-pure ring the per-level values must be
     non-increasing; a violation is a hard engine failure."""
+    _check_input(M, e_max)
     budget = Budget.ensure(budget)
     f_pure = (not M.ring.is_quotient
               or fedder_f_pure(M.ring, budget=budget).is_f_pure)
@@ -478,15 +480,13 @@ class KdepthReport:
 
 def kdepth_truncation_profile(M, e_max=4, budget=None):
     """Per-level Koszul profiles plus whether the nonzero-homology pattern
-    is eventually constant, by sdepth's window rule.  No homology at level
-    0 means M_m = 0 (F^e keeps it): a ValueError."""
+    is eventually constant, by sdepth's window rule.  `_check_input` comes
+    first, so every level has H_0 = M/mM != 0 and a grade."""
+    _check_input(M, e_max)
     budget = Budget.ensure(budget)
-    free = M.ring.free()
-    xs = list(free.gens())
+    xs = list(M.ring.free().gens())
     profiles = [kgrade(xs, frobenius_functor(M, e), budget)
                 for e in range(e_max + 1)]
-    if not profiles[0].nonzero_homology:
-        raise ValueError(_VANISHES)
     stable = _settled([p.nonzero_homology for p in profiles])
     stable_kgrade = profiles[-1].kgrade if stable else None
     return KdepthReport(profiles, stable, stable_kgrade)

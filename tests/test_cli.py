@@ -305,6 +305,19 @@ class TestExitCodes:
             assert "input error: module vanishes at the origin" in err, \
                 (command, ideal)
 
+    @pytest.mark.parametrize("budget", ["5", "20"])
+    def test_local_vanishing_is_rejected_before_any_budget_step(
+            self, capsys, budget):
+        for command, ring in (("depth", "F_2[x,y]"),
+                              ("kdepth-profile", "F_2[x,y]"),
+                              ("sdepth", "F_2[x,y]/(x*y)"),
+                              ("cdepth-lb", "F_2[x,y]")):
+            code, out, err = run(capsys, command, "--ring", ring, "--ideal",
+                                 "(x + 1)", "--budget", budget)
+            assert code == 5 and out == "", command
+            assert "input error: module vanishes at the origin" in err, \
+                command
+
     @pytest.mark.parametrize("family", ["bracket", "constant"])
     @pytest.mark.parametrize("command", ["fseq-verify", "fseq-radical",
                                          "ass-union"])

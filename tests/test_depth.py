@@ -191,6 +191,44 @@ class TestDepth:
         assert depth_at_origin(ModulePresentation.free(Q)) == 1
 
 
+VANISHING = [("F_2[x,y,z]", ["x + 1"]),
+             ("F_3[x,y,z,w]", ["x*y + 1", "z^2 + w"]),
+             ("F_2[x,y]/(x*y)", ["x + 1"])]
+
+
+class TestInputCheck:
+    """Every depth entry point rejects M_m = 0 and e_max < 0 first, before
+    any budget step; reg-check answers False there."""
+
+    @pytest.fixture(params=VANISHING, ids=lambda case: case[0])
+    def vanishing(self, request):
+        ring_text, gens = request.param
+        R = parse_ring(ring_text)
+        return ModulePresentation.cyclic(R, [R.poly(g) for g in gens])
+
+    @pytest.mark.parametrize("entry", [
+        depth_at_origin, sdepth, kdepth_truncation_profile,
+        cdepth_lower_bound])
+    def test_vanishing_module_rejected_at_no_cost(self, vanishing, entry):
+        budget = Budget()
+        with pytest.raises(ValueError, match="module vanishes"):
+            entry(vanishing, budget=budget)
+        assert budget.used == 0
+
+    def test_reg_check_answers_false_at_no_cost(self, vanishing):
+        R = vanishing.ring
+        for xs in ([], [R.poly("x")], [R.poly("y"), R.poly("x")]):
+            budget = Budget()
+            flags = regular_sequence_check(xs, vanishing, range(3), budget)
+            assert (flags, budget.used) == ([False] * 3, 0), xs
+
+    @pytest.mark.parametrize("entry", [
+        sdepth, kdepth_truncation_profile, cdepth_lower_bound])
+    def test_negative_e_max_rejected(self, two_planes, entry):
+        with pytest.raises(ValueError, match="e_max must be >= 0"):
+            entry(two_planes, e_max=-1)
+
+
 class TestClassicalSearch:
     def test_two_planes_witness(self, two_planes, R2xyz):
         rep = classical_depth_search(two_planes)
@@ -542,7 +580,8 @@ class TestDimStop:
     @pytest.mark.parametrize("gens", [["1"], ["x + 1", "x"],
                                       ["x^2 + y", "y + 1", "x"]])
     def test_zero_module_rejected(self, R2xy, gens):
-        # graded (1) is caught by the dim stop; the others are ungraded
+        # the input check rejects graded (1) and the ungraded ones alike,
+        # before the dim stop
         M = ModulePresentation.cyclic(R2xy, [R2xy.poly(g) for g in gens])
         for search in (classical_depth_search,
                        lambda M: cdepth_lower_bound(M, e_max=2)):
@@ -550,6 +589,8 @@ class TestDimStop:
                 search(M)
 
     def test_zero_module_read_off_the_dim_stop(self, R2xy, monkeypatch):
+        # the input check, not the dim stop, rejects this graded M = 0,
+        # and before any depth-0 stop
         calls = []
         monkeypatch.setattr(depth_mod, "koszul_homology_nonzero",
                             lambda *a: calls.append(a))
