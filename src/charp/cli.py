@@ -263,11 +263,11 @@ def _cmd_sdepth(ns, ring, budget):
     rep = sdepth(M, ns.emax, ns.window, budget=budget)
     val = rep.stabilized_value if rep.stabilized_value is not None else "unresolved"
     lines = [f"per-e depth: {[d for _, d in rep.per_e_depth]}",
-             f"sdepth: {val} (window={rep.window})"]
+             f"sdepth: {val} ({rep.stabilization}, window={rep.window})"]
     unresolved = ["sdepth window not reached"] if rep.unresolved else []
     return ({"per_e_depth": [[e, d] for e, d in rep.per_e_depth],
-             "sdepth": val, "window": rep.window, "f_pure": rep.f_pure},
-            lines, unresolved)
+             "sdepth": val, "window": rep.window, "f_pure": rep.f_pure,
+             "stabilization": rep.stabilization}, lines, unresolved)
 
 
 @command("reg-check", "per-level regular-sequence check", *MODULE, EMAX,
@@ -302,10 +302,10 @@ def _cmd_kdepth_profile(ns, ring, budget):
     lines = [f"e={pr['e']}: H nonzero at {pr['nonzero_homology']} "
              f"(kgrade {pr['kgrade']})" for pr in profs]
     stable = rep.stable_kgrade if rep.stable_kgrade is not None else "unresolved"
-    lines.append(f"stable kgrade: {stable}")
+    lines.append(f"stable kgrade: {stable} ({rep.stabilization})")
     unresolved = ["profile pattern not stable"] if not rep.stable else []
-    return ({"profiles": profs, "stable": rep.stable, "stable_kgrade": stable},
-            lines, unresolved)
+    return ({"profiles": profs, "stable": rep.stable, "stable_kgrade": stable,
+             "stabilization": rep.stabilization}, lines, unresolved)
 
 
 @command("gamma", "contraction chain of a root-generated ideal",

@@ -34,6 +34,12 @@ exactly when m*Z + U and Z have the same reduced basis (Nakayama).
 Every depth entry point first asks `_check_input` for M_m != 0, with no
 budget step; F^e and quotients by regular elements keep it, so no walk,
 search or Fedder test meets a module vanishing at the origin.
+
+Over S = F_p[x] Frobenius is flat (Kunz, Amer. J. Math. 91, 1969) and F^e
+takes a minimal free resolution of M to one of F^e(M), twists times q = p^e
+(Peskine & Szpiro, Publ. IHES 42, 1973): F^e(M) keeps M's depth, profile and
+regular sequences, so there the level searches compute level 0 alone
+(`stabilization: "theorem"`) and confirm the rest by K(F^e M)(t) = K(M)(t^q).
 """
 
 from __future__ import annotations
@@ -368,10 +374,11 @@ def _dimension_zero(graded, n):
 def _greedy_search(M, e_max, seed, budget):
     """Grow a sequence greedily: the next element is the first pool form
     (linear forms, then homogeneous quadratics) regular on F^e(M) for every
-    e <= e_max, modulo the elements already chosen.  A round starts with
-    the dim stop, and a round whose linear pool fails asks for depth 0
-    before the quadratic pool: once some level has dimension 0 or depth 0,
-    no round can extend the witness."""
+    level e left by `_levels_left`, modulo the elements already chosen.  A
+    round starts with the dim stop, and a round whose linear pool fails
+    asks for depth 0 before the quadratic pool: once some level has
+    dimension 0 or depth 0, no round can extend the witness.  Each
+    accepted form costs one budget step."""
     _check_input(M, e_max)
     budget = Budget.ensure(budget)
     free = M.ring.free()
@@ -379,6 +386,8 @@ def _greedy_search(M, e_max, seed, budget):
     levels = [frobenius_functor(M, e).lifted_columns()
               for e in range(e_max + 1)]
     graded = [_hilbert_data(cols, rank, free, budget) for cols in levels]
+    kept = len(_levels_left(M, e_max, budget, graded))
+    levels, graded = levels[:kept], graded[:kept]
     pools = []   # each built once per search, when a round first needs it
     witness = []
     while True:
@@ -399,6 +408,7 @@ def _greedy_search(M, e_max, seed, budget):
         if found is None:   # not sharp: see DepthSearchReport
             return DepthSearchReport(len(witness), tuple(witness), False, seed)
         witness.append(found)
+        budget.charge()
         levels = [cols + diagonal_columns(found, rank, free)
                   for cols in levels]
         graded = [_quotient_data(level, found) for level in graded]
@@ -422,16 +432,35 @@ def _settled(values, window=WINDOW):
     return len(values) >= window and len(set(values[-window:])) == 1
 
 
+def _levels_left(M, e_max, budget, graded=None):
+    """The levels e <= e_max still to compute: all over a quotient ring,
+    only 0 over S once each graded level (`graded`: their _hilbert_data,
+    if held) has K(F^e M)(t) = K(M)(t^q), row degrees times q."""
+    levels = range(e_max + 1)
+    if M.ring.is_quotient or e_max <= 0:
+        return levels
+    graded = graded or [_hilbert_data(frobenius_functor(M, e).lifted_columns(),
+                                      M.rank, M.ring, budget) for e in levels]
+    for e, level in enumerate(graded[1:] if graded[0] else (), 1):
+        q = M.ring.p ** e
+        if level != ([q * d for d in graded[0][0]],
+                     {q * a: c for a, c in graded[0][1].items()}):
+            raise InternalInvariantError(f"K(F^{e} M)(t) != K(M)(t^{q})")
+    return levels[:1]
+
+
 @dataclass
 class SdepthReport:
-    """depth(F^e(M)) for e = 0..e_max, with the eventual value detected by a
-    run of `window` equal tail values; None means unresolved within e_max."""
+    """depth(F^e(M)) for e = 0..e_max and its eventual value: settled by the
+    theorem over S, else by a run of `window` equal tail values (None means
+    unresolved within e_max); `stabilization` names the rule."""
 
     per_e_depth: list
     stabilized_value: int | None
     window: int
     f_pure: bool
     monotone: bool
+    stabilization: str
 
     @property
     def unresolved(self):
@@ -446,17 +475,18 @@ def sdepth(M, e_max=4, window=WINDOW, cross_check=True, budget=None):
     budget = Budget.ensure(budget)
     f_pure = (not M.ring.is_quotient
               or fedder_f_pure(M.ring, budget=budget).is_f_pure)
-    per_e = []
-    for e in range(e_max + 1):
-        d = depth_at_origin(frobenius_functor(M, e), cross_check, budget)
-        per_e.append((e, d))
-    values = [d for _, d in per_e]
+    values = [depth_at_origin(frobenius_functor(M, e), cross_check, budget)
+              for e in _levels_left(M, e_max, budget)]
+    values += values[-1:] * (e_max + 1 - len(values))
     monotone = all(values[i + 1] <= values[i] for i in range(len(values) - 1))
     if f_pure and not monotone:
         raise InternalInvariantError(
             f"depth under Frobenius increased over an F-pure ring: {values}")
-    stabilized = values[-1] if _settled(values, window) else None
-    return SdepthReport(per_e, stabilized, window, f_pure, monotone)
+    rule = "window" if M.ring.is_quotient else "theorem"
+    stabilized = (values[-1] if rule == "theorem" or _settled(values, window)
+                  else None)
+    return SdepthReport(list(enumerate(values)), stabilized, window, f_pure,
+                        monotone, rule)
 
 
 def cdepth_lower_bound(M, e_max=4, seed=0, budget=None):
@@ -471,22 +501,26 @@ class KdepthReport:
     """Koszul profiles of the variables on F^e(M) per level (under the
     truncation isomorphism, those of the fractional bracket powers of the
     maximal ideal); `stable_kgrade` is the last grade once the profiles
-    settle by sdepth's window rule."""
+    settle by sdepth's rule, named by `stabilization`."""
 
     profiles: list
     stable: bool
     stable_kgrade: int | None
+    stabilization: str
 
 
 def kdepth_truncation_profile(M, e_max=4, budget=None):
     """Per-level Koszul profiles plus whether the nonzero-homology pattern
-    is eventually constant, by sdepth's window rule.  `_check_input` comes
+    is eventually constant, by sdepth's rule.  `_check_input` comes
     first, so every level has H_0 = M/mM != 0 and a grade."""
     _check_input(M, e_max)
     budget = Budget.ensure(budget)
     xs = list(M.ring.free().gens())
     profiles = [kgrade(xs, frobenius_functor(M, e), budget)
-                for e in range(e_max + 1)]
-    stable = _settled([p.nonzero_homology for p in profiles])
+                for e in _levels_left(M, e_max, budget)]
+    profiles += profiles[-1:] * (e_max + 1 - len(profiles))
+    rule = "window" if M.ring.is_quotient else "theorem"
+    stable = rule == "theorem" or _settled([p.nonzero_homology
+                                            for p in profiles])
     stable_kgrade = profiles[-1].kgrade if stable else None
-    return KdepthReport(profiles, stable, stable_kgrade)
+    return KdepthReport(profiles, stable, stable_kgrade, rule)

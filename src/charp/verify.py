@@ -18,6 +18,7 @@ seed: byte-identical text and JSON across runs.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 import time
@@ -146,17 +147,31 @@ class _Echelon:
     def __init__(self, ring):
         self.ring = ring
         self.rows = {}
+        self.ranks = {}
+
+    def _rank(self, m):
+        """(negated order key, m): the heap pops the largest m first."""
+        if m not in self.ranks:
+            self.ranks[m] = tuple(-k for k in self.ring.order.key(m)), m
+        return self.ranks[m]
 
     def _reduce(self, work):
-        key = self.ring.order.key
+        """Clear leads of `work` largest first; a popped monomial that
+        cancelled after it was pushed is skipped."""
         p = self.ring.p
-        while work:
-            lm = max(work, key=key)
+        heap = [self._rank(m) for m in work]
+        heapq.heapify(heap)
+        while heap:
+            lm = heapq.heappop(heap)[1]
+            if lm not in work:
+                continue
             row = self.rows.get(lm)
             if row is None:
                 return lm, work
             c = work[lm]
             for m, rc in row.items():
+                if m not in work:
+                    heapq.heappush(heap, self._rank(m))
                 nc = (work.get(m, 0) - c * rc) % p
                 if nc:
                     work[m] = nc
@@ -190,10 +205,6 @@ def brute_force_members(f, gens, caps):
                     ech.insert(ring.monomial(m) * g)
         low = cap
         yield ech.contains(f)
-
-
-def brute_force_member(f, gens, max_cofactor_deg):
-    return next(brute_force_members(f, gens, (max_cofactor_deg,)))
 
 
 def membership_agrees(f, ideal, budget=None, caps=(6, 9, 12)):
@@ -902,7 +913,8 @@ def _ass_origin(ctx):
 
 
 @check("depth/noincrease", "depth never increases under the Frobenius functor "
-       "over F-pure rings", ("invariants-random",))
+       "over F-pure rings, and sdepth lists each level's Koszul depth",
+       ("invariants-random",))
 def _depth_noninc(ctx):
     rng = ctx.rng("noninc")
     for ring_text in ("F_2[x,y,z]", "F_3[x,y]"):
@@ -914,8 +926,10 @@ def _depth_noninc(ctx):
             M = ModulePresentation.cyclic(ring, I.gens)
             rep = sdepth(M, e_max=3, window=2, cross_check=False,
                          budget=ctx.budget())
-            if not rep.monotone:
-                return FAIL, f"{I!r}: {rep.per_e_depth}"
+            levels = [(e, depth_at_origin(frobenius_functor(M, e), False,
+                                          ctx.budget())) for e in range(4)]
+            if not rep.monotone or rep.per_e_depth != levels:
+                return FAIL, f"{I!r}: {rep.per_e_depth} vs {levels}"
     return PASS, ""
 
 

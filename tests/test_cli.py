@@ -133,13 +133,13 @@ PINNED = [
      {"per_e_regular": [False] * 5}, 66),
     (("kdepth-profile", "--ring", "F_2[x,y,z]", "--ideal", "(x*y, x*z)",
       "--emax", "2"),
-     {"stable": True, "stable_kgrade": 1,
+     {"stable": True, "stable_kgrade": 1, "stabilization": "theorem",
       "profiles": [{"e": e, "kgrade": 1, "nonzero_homology": [0, 1, 2]}
-                   for e in range(3)]}, 190),
+                   for e in range(3)]}, 65),
     (("cdepth-lb", "--ring", "F_2[x,y,z,w]", "--ideal", "(x*y, z*w)",
       "--emax", "2"),
      {"bound": 2, "exhaustive": True, "seed": 0, "witness": ["z + w", "x + y"]},
-     264),
+     196),
     (("ass", "--ring", "F_2[x,y]", "--ideal", "(x*y, x^2)", "--point", "0,0"),
      {"maximal_associated": True}, 10),
     (("fseq-verify", "--ring", "F_2[x,y]", "--family", "constant", "--ideal",

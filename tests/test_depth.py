@@ -827,12 +827,20 @@ class TestComparisonChain:
             assert kd.stable_kgrade == sd.stabilized_value
 
     def test_one_window_rule(self, two_planes):
-        # one level is short of the window: neither report settles
-        sd = sdepth(two_planes, e_max=0)
-        kd = kdepth_truncation_profile(two_planes, e_max=0)
+        # over a quotient ring one level is short of the window: neither
+        # report settles; over S the theorem settles level 0 alone
+        Q = parse_ring("F_2[x,y]/(x*y)")
+        M = ModulePresentation.cyclic(Q, [Q.free().poly("x")])
+        sd = sdepth(M, e_max=0)
+        kd = kdepth_truncation_profile(M, e_max=0)
         assert sd.window == depth_mod.WINDOW
         assert sd.stabilized_value is None
         assert not kd.stable and kd.stable_kgrade is None
+        assert sd.stabilization == kd.stabilization == "window"
+        sd = sdepth(two_planes, e_max=0)
+        kd = kdepth_truncation_profile(two_planes, e_max=0)
+        assert (sd.stabilized_value, kd.stable, kd.stable_kgrade) == (1, True, 1)
+        assert sd.stabilization == kd.stabilization == "theorem"
 
     def test_bracket_power_sequence_same_top(self, R2xy):
         M = frobenius_functor(
@@ -842,3 +850,129 @@ class TestComparisonChain:
         a = kgrade(xs, M)
         b = kgrade(xq, M)
         assert max(a.nonzero_homology) == max(b.nonzero_homology)
+
+
+# the perfbench sdepth shapes, fixed here
+SDEPTH_SHAPES = (
+    ("F_2[x,y,z]", "x*y, x*z"), ("F_2[x,y,z]", "x^2, y*z"),
+    ("F_2[x,y,z]", "x*y*z"), ("F_2[x,y,z]", "x^2*y, y*z^2"),
+    ("F_3[x,y]", "x^2, x*y"), ("F_3[x,y]", "x*y^2"),
+    ("F_3[x,y]", "x^3, y^2"), ("F_3[x,y]", "x*y"),
+)
+
+
+def free_ring_modules():
+    """Seeded modules over free rings: the sdepth shapes, random graded
+    cyclic modules over F_2[x,y,z] and F_3[x,y], a rank-2 presentation and
+    two ungraded cyclic modules."""
+    out = []
+    for ring_text, gens in SDEPTH_SHAPES:
+        R = parse_ring(ring_text)
+        out.append(ModulePresentation.cyclic(R, list(
+            R.poly(g) for g in gens.split(", "))))
+    rng = random.Random("free-ring-levels")
+    for ring_text in ("F_2[x,y,z]", "F_3[x,y]"):
+        R = parse_ring(ring_text)
+        while sum(M.ring is R for M in out) < 6:
+            I = random_graded_cyclic_ideal(R, rng, max_deg=3)
+            if not I.is_unit:
+                out.append(ModulePresentation.cyclic(R, I.gens))
+    R = parse_ring("F_3[x,y,z]")
+    out.append(ModulePresentation(R, 2, [(R.poly("x"), R.zero()),
+                                         (R.poly("y"), R.poly("z")),
+                                         (R.zero(), R.poly("x"))]))
+    R = parse_ring("F_2[x,y,z]")
+    out += [ModulePresentation.cyclic(R, [R.poly(g) for g in gens])
+            for gens in (("x*y + z^3", "x*z"), ("x + y*z", "y^2 + x*z"))]
+    return out
+
+
+class TestFreeRingLevels:
+    """Over S = F_p[x] sdepth, the Koszul profiles and the greedy search
+    compute level 0 and confirm the rest by K(F^e M)(t) = K(M)(t^q); the
+    per-level computation stays the reference here."""
+
+    @staticmethod
+    def _per_level(monkeypatch, call, M, e_max):
+        """(answer, budget) of `call` with every level computed."""
+        budget = Budget()
+        with monkeypatch.context() as m:
+            m.setattr(depth_mod, "_levels_left",
+                      lambda M, e_max, budget, graded=None: range(e_max + 1))
+            return call(M, e_max=e_max, budget=budget), budget.used
+
+    def test_level_zero_answers_every_level(self, monkeypatch):
+        graded = 0
+        for M in free_ring_modules():
+            free = M.ring.free()
+            xs = list(free.gens())
+            levels = [frobenius_functor(M, e) for e in range(4)]
+            depths = [depth_at_origin(F) for F in levels]
+            profiles = [kgrade(xs, F) for F in levels]
+            graded += row_degrees(M.lifted_columns(), M.rank) is not None
+            for e_max in range(4):
+                for call in (sdepth, kdepth_truncation_profile,
+                             cdepth_lower_bound):
+                    budget = Budget()
+                    rep = call(M, e_max=e_max, budget=budget)
+                    slow, slow_used = self._per_level(monkeypatch, call, M,
+                                                      e_max)
+                    assert budget.used <= slow_used, (M, e_max, call)
+                    if call is cdepth_lower_bound:
+                        assert rep == slow, (M, e_max)
+                        assert all(regular_sequence_check(
+                            rep.witness, M, range(e_max + 1))), (M, e_max)
+                        continue
+                    assert rep.stabilization == "theorem"
+                    if call is sdepth:
+                        assert rep.per_e_depth == list(
+                            enumerate(depths[:e_max + 1])), (M, e_max)
+                        assert rep.stabilized_value == depths[0]
+                    else:
+                        assert rep.profiles == profiles[:e_max + 1], M
+                        assert rep.stable_kgrade == profiles[0].kgrade
+        assert 0 < graded < len(free_ring_modules())
+
+    def test_k_check_catches_a_wrong_level(self, R2xyz, two_planes,
+                                           monkeypatch):
+        # a level whose K is not K(M)(t^q) is an engine fault
+        original = depth_mod.frobenius_functor
+        monkeypatch.setattr(depth_mod, "frobenius_functor",
+                            lambda M, e: original(M, min(e, 1)))
+        for call in (sdepth, kdepth_truncation_profile, cdepth_lower_bound):
+            with pytest.raises(InternalInvariantError, match="K\\(F\\^2"):
+                call(two_planes, e_max=2)
+
+    def test_search_charges_one_step_per_witness_form(self, monkeypatch):
+        # every step of a search is spent by one of its tests, plus one
+        # per accepted form, so a round with no levels to test still costs
+        budget = Budget()
+        spent, inside = [], []
+
+        def spy(original):
+            def wrapped(*args, **kwargs):
+                before = budget.used
+                inside.append(None)
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    inside.pop()
+                    if not inside:
+                        spent.append(budget.used - before)
+            return wrapped
+
+        for name in ("_hilbert_data", "is_regular_element",
+                     "koszul_homology_nonzero"):
+            monkeypatch.setattr(depth_mod, name,
+                                spy(getattr(depth_mod, name)))
+        Q = parse_ring("F_2[x,y,z]/(x*y, y*z)")
+        witnesses = 0
+        for M in free_ring_modules() + [
+                ModulePresentation.cyclic(Q, [Q.free().poly("x^2")])]:
+            for e_max in (0, 2):
+                budget.used = 0
+                spent.clear()
+                rep = cdepth_lower_bound(M, e_max=e_max, budget=budget)
+                assert budget.used == sum(spent) + len(rep.witness), M
+                witnesses += len(rep.witness)
+        assert witnesses > 0

@@ -26,10 +26,15 @@ from charp.modules import (module_colon, module_groebner,
                            module_normal_form, span_colon)
 from charp.ring import (EXPONENT_LIMIT, POT, mono_div, mono_divides,
                         mono_mul)
-from charp.verify import brute_force_member, brute_force_members, random_poly
+from charp.verify import brute_force_members, random_poly
 
 ORDERS = [Lex(), GRevLex(), Block(1), Block(2), Block(5), POT(2, GRevLex()),
           POT(3, Lex())]
+
+
+def brute_force_member(f, gens, cap):
+    """The brute-force membership oracle at the one cap."""
+    return next(brute_force_members(f, gens, (cap,)))
 
 
 def _textbook_key(order, exps):
