@@ -108,16 +108,14 @@ def frobenius_closure(J, e_max=4, budget=None):
 
 
 def is_frobenius_closed(J, e_max=4, budget=None):
-    """True/False, or None when the closure chain did not stabilize and the
-    answer is still open (the chain only ever grows, so any strict growth
-    already settles the question as False)."""
+    """True/False, or None when the answer is still open, read off the
+    closure chain: stabilized at level 0 is True; a chain of level 0 alone
+    (e_max = 0) is None; any later level strictly contains the one before
+    it, so the closure is larger than J and the answer is False."""
     res = frobenius_closure(J, e_max, budget)
-    base = Ideal(J.ring, J.gens)
-    if not res.closure.equal(base, budget):
-        return False
-    if res.unresolved:
-        return None
-    return True
+    if res.stabilized_at == 0:
+        return True
+    return None if len(res.chain) == 1 else False
 
 
 # ---------------------------------------------------------------------------

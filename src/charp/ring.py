@@ -396,9 +396,6 @@ class Polynomial:
                     out.add(i)
         return out
 
-    def as_dict(self):
-        return dict(self.terms)
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other):

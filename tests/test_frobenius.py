@@ -94,6 +94,35 @@ class TestFrobeniusClosure:
         assert is_frobenius_closed(Ideal(R2xy, ["x^4", "y^4"]), 3) is True
         assert is_frobenius_closed(Ideal(R2xy, ["1"]), 1) is True
 
+    @pytest.mark.parametrize("ring_text, answers", [
+        ("F_2[x,y]", {True, None}), ("F_3[x,y,z]", {True, None}),
+        ("F_2[x,y]/(x*y)", {True, None}),
+        ("F_2[x,y,z]/(x^2 + y*z^2)", {True, None, False}),
+        ("F_3[x,y,z]/(x^3 - y*z^3)", {True, None, False})])
+    def test_closedness_read_off_the_chain(self, ring_text, answers):
+        """The answer equals the rule that compares the closure with J
+        (False when they differ, else None while the chain is unresolved,
+        else True) and costs no step beyond the chain itself.  Free and
+        F-pure rings close every ideal, so only the cusps answer False,
+        among them on chains still ascending at e_max >= 1."""
+        ring = parse_ring(ring_text)
+        z = ring.variables[-1]
+        ideals = [Ideal(ring, gens) for gens in
+                  ([], ["1"], [z], [f"{z}^2"], ["x^2", "x*y"], ["x + y^2"],
+                   ["x*y", f"y*{z}"])]
+        seen, ascending = set(), False
+        for J, e_max in itertools.product(ideals, range(3)):
+            chain_budget, budget = Budget(10 ** 6), Budget(10 ** 6)
+            res = frobenius_closure(J, e_max, chain_budget)
+            want = (False if not res.closure.equal(J)
+                    else None if res.unresolved else True)
+            got = is_frobenius_closed(J, e_max, budget)
+            assert got is want, (J, e_max)
+            assert budget.used == chain_budget.used
+            seen.add(want)
+            ascending |= res.unresolved and len(res.chain) > 1
+        assert seen == answers and ascending == (False in answers)
+
     def test_closure_idempotent(self, cusp3):
         res = frobenius_closure(Ideal(cusp3, ["z"]), 3)
         again = frobenius_closure(res.closure, 3)

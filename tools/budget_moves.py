@@ -5,10 +5,12 @@
 Replays every call of tests/data/cli_answers.json and every `charp`
 command of the README with `--json`, in this process through
 `charp.cli.main`: once on the source of the working tree and once on
-REVISION, checked out with `git worktree add --detach` into a temporary
-directory that is removed afterwards.  Prints one line for each call whose
-exit code, result or `budget_used` differs, then a count.  Exits 0 whatever
-moved; the battery test in tests/test_cli.py is the gate for answers.
+REVISION, whose src/ tree `git archive` extracts into a temporary
+directory that is removed afterwards (nothing is written under .git, and
+the working tree may hold uncommitted changes).  Prints one line for each
+call whose exit code, result or `budget_used` differs, then a count.
+Exits 0 whatever moved; the battery test in tests/test_cli.py is the gate
+for answers.
 """
 
 import contextlib
@@ -68,14 +70,10 @@ def main(argv=None):
     revision = argv[0] if argv else "HEAD"
     argvs = calls()
     with tempfile.TemporaryDirectory() as tmp:
-        tree = pathlib.Path(tmp) / "tree"
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach",
-                        "--quiet", str(tree), revision], check=True)
-        try:
-            before = replay(tree / "src", argvs)
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove",
-                            "--force", str(tree)], check=True)
+        tree = subprocess.run(["git", "-C", str(ROOT), "archive", revision,
+                               "src"], check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=tree, check=True)
+        before = replay(pathlib.Path(tmp) / "src", argvs)
     after = replay(ROOT / "src", argvs)
     moves = 0
     for call, old, new in zip(argvs, before, after):
